@@ -146,10 +146,10 @@ mod tests {
     #[test]
     fn hit_does_not_reassemble() {
         let k = key(u32::MAX); // distinct from any real layout
-        let before = assemblies();
+        let before = assemblies_for(&k);
         get_or_assemble(k, || Ok(dummy())).unwrap();
         get_or_assemble(k, || panic!("cache hit must not rebuild")).unwrap();
-        assert_eq!(assemblies(), before + 1);
+        assert_eq!(assemblies_for(&k), before + 1);
     }
 
     #[test]

@@ -130,18 +130,13 @@ pub struct RunOptions {
     /// spans) plus the run's event counters. The observer never touches
     /// the simulated machine, so enabling it cannot change cycle counts.
     pub observer: Observer,
-    /// Forces the simulator's precise per-step execution loop even when a
-    /// run is fast-path eligible. Results are bit-identical either way —
-    /// the differential equivalence suite uses this as its reference leg;
-    /// production callers leave it off.
-    pub force_precise: bool,
     /// How cycles are attributed to addresses during the run.
     /// [`ProfileMode::Off`] keeps the pre-existing behaviour: profiling
     /// switches on (precisely) exactly when the observer is enabled.
     /// Setting a mode explicitly overrides that coupling —
-    /// [`ProfileMode::Sampled`] in particular profiles *without* leaving
-    /// the fast execution path, which is how the serving layer feeds
-    /// `WeightModel::Profile` without paying the precise-loop tax.
+    /// [`ProfileMode::Sampled`] in particular records one sample per
+    /// period instead of one per retired instruction, which is how the
+    /// serving layer feeds `WeightModel::Profile` at a bounded cost.
     pub profile: ProfileMode,
     /// How fan-out layers — [`crate::multicore`], the query engine, the
     /// bench sweeps — map independent shards onto host threads. The
@@ -432,7 +427,6 @@ pub fn run_set_op_with(
             }
         }
         p.set_watchdog(opts.effective_watchdog());
-        p.set_force_precise(opts.force_precise);
         match p.run(MAX_CYCLES) {
             Ok(stats) => {
                 let out_len = if model.has_eis() {
@@ -480,7 +474,6 @@ pub fn run_set_op_with(
                     let fallback = RunOptions {
                         protection: opts.protection,
                         observer: opts.observer.clone(),
-                        force_precise: opts.force_precise,
                         profile: opts.profile,
                         ..RunOptions::default()
                     };
@@ -604,7 +597,6 @@ pub fn run_sort_with(
             }
         }
         p.set_watchdog(opts.effective_watchdog());
-        p.set_force_precise(opts.force_precise);
         match p.run(MAX_CYCLES) {
             Ok(stats) => {
                 let mut result = p
@@ -650,7 +642,6 @@ pub fn run_sort_with(
                     let fallback = RunOptions {
                         protection: opts.protection,
                         observer: opts.observer.clone(),
-                        force_precise: opts.force_precise,
                         profile: opts.profile,
                         ..RunOptions::default()
                     };

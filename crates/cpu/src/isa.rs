@@ -650,14 +650,34 @@ impl Instr {
 
     /// Registers read by this instruction (up to three).
     pub fn src_regs(&self) -> Vec<Reg> {
+        match self {
+            Instr::Flix(slots) => slots.iter().flat_map(|i| i.src_regs()).collect(),
+            _ => self.src_pair().into_iter().flatten().collect(),
+        }
+    }
+
+    /// [`Self::src_regs`] as a register set: bit `i` is set when the
+    /// instruction reads `A[i]`. Does not allocate.
+    pub fn src_mask(&self) -> u16 {
+        match self {
+            Instr::Flix(slots) => slots.iter().fold(0, |m, i| m | i.src_mask()),
+            _ => self
+                .src_pair()
+                .into_iter()
+                .flatten()
+                .fold(0, |m, r| m | (1 << (r.idx() & 15))),
+        }
+    }
+
+    /// The source registers of a non-bundle instruction, in operand order.
+    fn src_pair(&self) -> [Option<Reg>; 2] {
         match *self {
             Instr::Movi { .. }
             | Instr::J { .. }
             | Instr::Call0 { .. }
             | Instr::Nop
-            | Instr::Halt => {
-                vec![]
-            }
+            | Instr::Halt
+            | Instr::Flix(_) => [None, None],
             Instr::Add { s, t, .. }
             | Instr::Addx4 { s, t, .. }
             | Instr::Sub { s, t, .. }
@@ -671,7 +691,7 @@ impl Instr {
             | Instr::Max { s, t, .. }
             | Instr::Minu { s, t, .. }
             | Instr::Maxu { s, t, .. }
-            | Instr::Branch { s, t, .. } => vec![s, t],
+            | Instr::Branch { s, t, .. } => [Some(s), Some(t)],
             Instr::Addi { s, .. }
             | Instr::Slli { s, .. }
             | Instr::Srli { s, .. }
@@ -681,15 +701,12 @@ impl Instr {
             | Instr::Beqz { s, .. }
             | Instr::Bnez { s, .. }
             | Instr::Jx { s }
-            | Instr::Loop { s, .. } => vec![s],
-            Instr::Store { t, s, .. } => vec![t, s],
-            Instr::Ret => vec![regs::A0],
-            Instr::Ext(ExtOp { args, .. }) => {
-                // Conservative: both fields may be read; exact roles come
-                // from the extension's OpInfo at execution time.
-                vec![Reg(args.r & 15), Reg(args.s & 15)]
-            }
-            Instr::Flix(ref slots) => slots.iter().flat_map(|i| i.src_regs()).collect(),
+            | Instr::Loop { s, .. } => [Some(s), None],
+            Instr::Store { t, s, .. } => [Some(t), Some(s)],
+            Instr::Ret => [Some(regs::A0), None],
+            // Conservative: both fields may be read; exact roles come
+            // from the extension's OpInfo at execution time.
+            Instr::Ext(ExtOp { args, .. }) => [Some(Reg(args.r & 15)), Some(Reg(args.s & 15))],
         }
     }
 }

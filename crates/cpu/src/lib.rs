@@ -27,7 +27,6 @@ pub mod config;
 pub mod encode;
 pub mod error;
 pub mod ext;
-pub(crate) mod fastpath;
 pub mod isa;
 pub mod memsys;
 pub mod observe;

@@ -8,14 +8,20 @@
 //! image produced by [`crate::encode`] is what occupies instruction memory
 //! and what the assembler/disassembler operate on.
 //!
+//! [`ProgramBuilder::build`] also pre-decodes every instruction once: its
+//! load-use source mask, its fall-through PC, and for extension ops and
+//! FLIX bundles the extension group and base-slot `ADDI`s. The simulator
+//! fetches that decode with the instruction, so per-step work depends
+//! only on machine state, and every processor sharing an `Arc<Program>`
+//! shares the decode.
+//!
 //! Every address a program reports — [`Program::addr_of`], labels,
 //! diagnostics from the static analyzer — is an absolute byte PC. The only
-//! `(pc - base) / 4` arithmetic lives here (the fetch slot table) and in
-//! the fast-path engine's block cache, both parameterized on the same
-//! [`Program::entry`] value.
+//! `(pc - base) / 4` arithmetic lives here, in the fetch slot table,
+//! parameterized on the [`Program::entry`] value.
 
 use crate::error::SimError;
-use crate::isa::{BranchCond, ExtOp, Instr, LsWidth, Reg};
+use crate::isa::{BranchCond, ExtOp, Instr, LsWidth, OpArgs, Reg};
 use std::collections::HashMap;
 
 /// Base address of instruction memory.
@@ -33,11 +39,78 @@ pub const SYSMEM_BASE: u32 = 0x8000_0000;
 /// is unambiguous.
 const NO_SLOT: u32 = u32::MAX;
 
+/// The build-time decode of one instruction: everything a step needs
+/// that depends only on the program. Fixed-size (a bundle has at most
+/// three slots), so decoding a whole program allocates once.
+#[derive(Debug, Clone)]
+pub(crate) struct Decoded {
+    /// Static fall-through address (`pc + size`).
+    pub fall_through: u32,
+    /// The load-use interlock's operand set ([`Instr::src_mask`]).
+    pub src_mask: u16,
+    n_ext: u8,
+    n_addis: u8,
+    ext: [(u16, OpArgs); 3],
+    addis: [(Reg, Reg, i16); 3],
+}
+
+impl Decoded {
+    /// Decodes `instr` laid out at `pc`. Bundle slots are already known to
+    /// be slot eligible (see [`ProgramBuilder::build`]), so the split into
+    /// extension ops, `NOP`s and `ADDI`s is total.
+    fn new(instr: &Instr, pc: u32) -> Decoded {
+        let mut d = Decoded {
+            fall_through: pc + instr.size(),
+            src_mask: instr.src_mask(),
+            n_ext: 0,
+            n_addis: 0,
+            ext: [(0, OpArgs::default()); 3],
+            addis: [(Reg(0), Reg(0), 0); 3],
+        };
+        let slots = match instr {
+            Instr::Ext(_) => std::slice::from_ref(instr),
+            Instr::Flix(slots) => slots,
+            _ => &[],
+        };
+        for slot in slots.iter() {
+            match *slot {
+                Instr::Ext(e) => {
+                    d.ext[d.n_ext as usize] = (e.op, e.args);
+                    d.n_ext += 1;
+                }
+                Instr::Addi { r, s, imm } => {
+                    d.addis[d.n_addis as usize] = (r, s, imm);
+                    d.n_addis += 1;
+                }
+                _ => {}
+            }
+        }
+        d
+    }
+
+    /// `(opcode, args)` of the extension group the step issues, in slot
+    /// order: the op itself for a standalone `Ext`, the extension slots of
+    /// a FLIX bundle, empty otherwise.
+    #[inline]
+    pub fn ext_ops(&self) -> &[(u16, OpArgs)] {
+        &self.ext[..self.n_ext as usize]
+    }
+
+    /// `(dest, src, imm)` of each base-slot `ADDI` of a FLIX bundle, in
+    /// slot order.
+    #[inline]
+    pub fn addis(&self) -> &[(Reg, Reg, i16)] {
+        &self.addis[..self.n_addis as usize]
+    }
+}
+
 /// A finished program: instructions with resolved absolute addresses.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Instructions in layout order.
     code: Vec<Instr>,
+    /// Build-time decode of each instruction (parallel to `code`).
+    decoded: Vec<Decoded>,
     /// Byte address of each instruction (parallel to `code`).
     addrs: Vec<u32>,
     /// Instruction index for each word slot (`(addr - base) / 4`);
@@ -78,9 +151,22 @@ impl Program {
     /// Fetches the instruction at `pc`.
     #[inline]
     pub fn fetch(&self, pc: u32) -> Result<&Instr, SimError> {
+        self.index_of(pc).map(|ix| &self.code[ix])
+    }
+
+    /// Fetches the instruction at `pc` together with its build-time decode.
+    #[inline]
+    pub(crate) fn fetch_decoded(&self, pc: u32) -> Result<(&Instr, &Decoded), SimError> {
+        self.index_of(pc)
+            .map(|ix| (&self.code[ix], &self.decoded[ix]))
+    }
+
+    /// Layout index of the instruction starting at `pc`.
+    #[inline]
+    fn index_of(&self, pc: u32) -> Result<usize, SimError> {
         let slot = pc.wrapping_sub(self.base) / 4;
         match self.slot_index.get(slot as usize) {
-            Some(&ix) if ix != NO_SLOT && pc.is_multiple_of(4) => Ok(&self.code[ix as usize]),
+            Some(&ix) if ix != NO_SLOT && pc.is_multiple_of(4) => Ok(ix as usize),
             _ => Err(SimError::BadPc { pc }),
         }
     }
@@ -522,8 +608,15 @@ impl ProgramBuilder {
             slot_index[((a - self.base) / 4) as usize] = ix as u32;
         }
 
+        let decoded = self
+            .code
+            .iter()
+            .zip(&addrs)
+            .map(|(i, &a)| Decoded::new(i, a))
+            .collect();
         Ok(Program {
             code: self.code,
+            decoded,
             addrs,
             slot_index,
             labels: label_addr,
@@ -701,6 +794,76 @@ mod tests {
     #[should_panic(expected = "word-aligned")]
     fn misaligned_base_panics() {
         ProgramBuilder::with_base(IMEM_BASE + 2);
+    }
+
+    fn decoded_at(p: &Program, pc: u32) -> &Decoded {
+        p.fetch_decoded(pc).unwrap().1
+    }
+
+    #[test]
+    fn decode_computes_fall_through_and_source_masks() {
+        let mask = |bits: &[usize]| bits.iter().fold(0u16, |m, b| m | (1 << b));
+        let mut b = ProgramBuilder::new();
+        b.add(A3, A4, A5);
+        b.l32i(A2, A3, 0);
+        b.movi(A6, 0x1234_5678); // wide: 8 bytes
+        b.halt();
+        let p = b.build().unwrap();
+        let e = p.entry();
+        assert_eq!(decoded_at(&p, e).src_mask, mask(&[4, 5]));
+        assert_eq!(decoded_at(&p, e + 4).src_mask, mask(&[3]));
+        assert_eq!(decoded_at(&p, e + 8).src_mask, 0);
+        assert_eq!(decoded_at(&p, e + 8).fall_through, e + 16);
+        for (pc, instr) in p.iter() {
+            let d = decoded_at(&p, pc);
+            assert_eq!(d.fall_through, pc + instr.size());
+            assert_eq!(
+                d.src_mask,
+                mask(&instr.src_regs().iter().map(|r| r.idx()).collect::<Vec<_>>())
+            );
+            assert!(d.addis().is_empty());
+        }
+    }
+
+    #[test]
+    fn decode_splits_bundles_into_ext_group_then_addis() {
+        let ext = |op| {
+            Instr::Ext(ExtOp {
+                op,
+                args: OpArgs::default(),
+            })
+        };
+        let mut b = ProgramBuilder::new();
+        b.flix([
+            ext(7),
+            Instr::Addi {
+                r: A2,
+                s: A2,
+                imm: 16,
+            },
+            Instr::Nop,
+        ]);
+        b.ext(ExtOp {
+            op: 9,
+            args: OpArgs { r: 3, s: 4, imm: 0 },
+        });
+        b.flix([Instr::Nop, Instr::Nop]);
+        b.halt();
+        let p = b.build().unwrap();
+        let bundle = decoded_at(&p, p.entry());
+        assert_eq!(bundle.ext_ops().len(), 1);
+        assert_eq!(bundle.ext_ops()[0].0, 7);
+        assert_eq!(bundle.addis(), &[(A2, A2, 16)]);
+        // Fall-through skips the bundle's two words.
+        assert_eq!(bundle.fall_through, p.entry() + 8);
+        // A standalone extension op is a one-op group.
+        let single = decoded_at(&p, p.entry() + 8);
+        assert_eq!(single.ext_ops(), &[(9, OpArgs { r: 3, s: 4, imm: 0 })]);
+        assert!(single.addis().is_empty());
+        // An all-NOP bundle issues nothing.
+        let nops = decoded_at(&p, p.entry() + 12);
+        assert!(nops.ext_ops().is_empty() && nops.addis().is_empty());
+        assert!(p.fetch_decoded(p.entry() + 4).is_err());
     }
 
     #[test]

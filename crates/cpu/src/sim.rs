@@ -13,21 +13,26 @@
 //!   unconditional transfers pay `jump_penalty`; hardware-loop back-edges
 //!   are free (that is their purpose);
 //! * the data prefetcher ticks concurrently with every core cycle.
+//!
+//! There is one execution engine. [`Processor::run`] and
+//! [`Processor::step`] share one step body: apply due fault-plan events,
+//! fetch the instruction and its build-time decode (see
+//! [`crate::program`]) through the program's slot table, execute, and
+//! commit in `finish_step`, which also records trace and profile samples.
 
 use crate::config::CpuConfig;
 use crate::error::{FaultCause, MachineFault, SimError};
 use crate::ext::{Extension, TieCtx};
-use crate::fastpath::{FastBlock, FastEngine, FastKind, FastStep};
 use crate::isa::{Instr, LsWidth, Reg};
 use crate::memsys::MemorySystem;
 use crate::predictor::Predictor;
 use crate::profiler::{Profile, ProfileMode};
-use crate::program::Program;
+use crate::program::{Decoded, Program};
 use crate::queue::TieQueue;
 use crate::stats::{EventCounters, RunStats};
 use crate::trace::Trace;
 use dbx_faults::{FaultKind, FaultPlan, FaultTarget};
-use dbx_mem::{MemError, ProtectionKind, Width};
+use dbx_mem::{MemError, Width};
 use std::sync::Arc;
 
 /// Hardware-loop registers (LBEG/LEND/LCOUNT).
@@ -86,12 +91,6 @@ pub struct Processor {
     /// extension state, DMAC) — memory-side injections are counted by the
     /// local memories themselves.
     injected_direct: u64,
-    /// Lazily-built basic-block decode cache for the fast-path run loop;
-    /// dropped whenever a program is (re)loaded.
-    fast: Option<FastEngine>,
-    /// Pins [`Self::run`] to the precise step loop even when every
-    /// fast-path eligibility condition holds (differential testing knob).
-    force_precise: bool,
 }
 
 impl Processor {
@@ -122,17 +121,7 @@ impl Processor {
             fault_plan: None,
             watchdog: None,
             injected_direct: 0,
-            fast: None,
-            force_precise: false,
         })
-    }
-
-    /// Pins every subsequent [`Self::run`] to the precise step loop.
-    /// The fast path is bit-identical by contract — this knob exists so
-    /// the differential test suite (and a wary user) can *prove* it on
-    /// any workload by running both paths and comparing.
-    pub fn set_force_precise(&mut self, on: bool) {
-        self.force_precise = on;
     }
 
     /// Installs a deterministic fault-injection plan. Each event fires at
@@ -202,11 +191,10 @@ impl Processor {
     }
 
     /// Selects how subsequent runs attribute cycles to addresses.
-    /// [`ProfileMode::Precise`] records every retired instruction and
-    /// forces the precise loop; [`ProfileMode::Sampled`] records one
-    /// sample per `period` cycles and stays fast-path eligible (the
-    /// sampled totals are within one period of the precise run's — see
-    /// `tests/fast_path.rs` for the differential check).
+    /// [`ProfileMode::Precise`] records every retired instruction;
+    /// [`ProfileMode::Sampled`] records one sample per `period` cycles
+    /// (the sampled totals are within one period of the precise run's —
+    /// see `tests/engine.rs` in `dbx-core` for the check).
     pub fn set_profile_mode(&mut self, mode: ProfileMode) {
         match mode {
             ProfileMode::Off => {
@@ -295,9 +283,6 @@ impl Processor {
         }
         self.pc = p.entry();
         self.program = Some(p);
-        // Conservative invalidation: any (re)load drops every decoded
-        // block, even when the same program object is reloaded.
-        self.fast = None;
         self.reset_run_state();
         Ok(())
     }
@@ -352,9 +337,23 @@ impl Processor {
     /// [`SimError::Fault`] carrying the pc and cycle of the faulting
     /// instruction.
     pub fn step(&mut self) -> Result<StepOutcome, SimError> {
+        let program = self.program.clone();
+        self.step_in(program.as_deref())
+    }
+
+    /// The step body shared by [`Self::step`] and [`Self::run`]. The
+    /// caller holds the program so a run clones its `Arc` once, not per
+    /// step.
+    #[inline]
+    fn step_in(&mut self, program: Option<&Program>) -> Result<StepOutcome, SimError> {
         self.apply_due_faults();
+        if self.halted {
+            return Ok(StepOutcome::Halted);
+        }
         let pc = self.pc;
-        self.step_inner().map_err(|e| self.promote_fault(pc, e))
+        let (instr, dec) = program.ok_or(SimError::BadPc { pc })?.fetch_decoded(pc)?;
+        self.issue(pc, instr, dec)
+            .map_err(|e| self.promote_fault(pc, e))
     }
 
     /// Fires every fault-plan event whose cycle stamp has been reached.
@@ -427,23 +426,15 @@ impl Processor {
         })
     }
 
-    fn step_inner(&mut self) -> Result<StepOutcome, SimError> {
-        if self.halted {
-            return Ok(StepOutcome::Halted);
-        }
-        let program = self
-            .program
-            .clone()
-            .ok_or(SimError::BadPc { pc: self.pc })?;
-        let pc = self.pc;
-        let instr = program.fetch(pc)?;
-
+    /// Issues one fetched instruction: load-use interlock, execution and
+    /// commit.
+    fn issue(&mut self, pc: u32, instr: &Instr, dec: &Decoded) -> Result<StepOutcome, SimError> {
         self.mem.begin_cycle();
         let mut cycles: u64 = 1;
 
         // Load-use interlock from the previous instruction.
         if let Some(dep) = self.pending_load {
-            if instr.src_regs().contains(&dep) {
+            if dec.src_mask >> (dep.idx() & 15) & 1 != 0 {
                 cycles += 1;
                 self.counters.stall_load_use += 1;
                 // The prefetcher keeps running during the stall.
@@ -452,22 +443,21 @@ impl Processor {
         }
         self.pending_load = None;
 
-        let mut next_pc = pc + instr.size();
+        let mut next_pc = dec.fall_through;
         let mut halted = false;
         self.counters.instrs += 1;
-        self.exec_instr(pc, instr, &mut cycles, &mut next_pc, &mut halted)?;
+        self.exec_instr(pc, instr, dec, &mut cycles, &mut next_pc, &mut halted)?;
         self.finish_step(pc, cycles, next_pc, halted)
     }
 
-    /// Executes one decoded instruction: the shared interpreter arm used
-    /// by both the precise step loop and (for non-specialized steps) the
-    /// fast path. Everything around it — interlock, hardware-loop
-    /// back-edge, ECC stalls, prefetcher tick, trace/profile, commit — is
-    /// the caller's job.
+    /// Executes one decoded instruction. Everything around it —
+    /// interlock, hardware-loop back-edge, ECC stalls, prefetcher tick,
+    /// trace/profile, commit — is the caller's job.
     fn exec_instr(
         &mut self,
         pc: u32,
         instr: &Instr,
+        dec: &Decoded,
         cycles: &mut u64,
         next_pc: &mut u32,
         halted: &mut bool,
@@ -619,36 +609,24 @@ impl Processor {
                     count,
                 });
             }
-            Instr::Ext(op) => {
-                *cycles += self.exec_ext_group(pc, &[(op.op, op.args)])? as u64;
+            Instr::Ext(_) => {
+                *cycles += self.exec_ext_group(pc, dec.ext_ops())? as u64;
             }
-            Instr::Flix(slots) => {
+            Instr::Flix(_) => {
                 if !self.cfg.has_flix {
                     return Err(SimError::OptionMissing { pc, option: "flix" });
                 }
                 self.counters.flix_bundles += 1;
-                let mut ext_ops = Vec::with_capacity(slots.len());
-                let mut base_ops: Vec<Instr> = Vec::new();
-                for s in slots.iter() {
-                    match s {
-                        Instr::Ext(e) => ext_ops.push((e.op, e.args)),
-                        Instr::Nop => {}
-                        other if other.slot_eligible() => base_ops.push(other.clone()),
-                        _ => return Err(SimError::SlotIneligible { pc }),
-                    }
-                }
                 // Extension ops observe the pre-cycle AR values; base slot
                 // ALU ops commit after (they never feed the ext ops within
                 // the same bundle).
-                if !ext_ops.is_empty() {
-                    *cycles += self.exec_ext_group(pc, &ext_ops)? as u64;
+                if !dec.ext_ops().is_empty() {
+                    *cycles += self.exec_ext_group(pc, dec.ext_ops())? as u64;
                 }
-                for b in base_ops {
-                    if let Instr::Addi { r, s, imm } = b {
-                        let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
-                        self.ar_wr(r, v);
-                        self.counters.alu_ops += 1;
-                    }
+                for &(r, s, imm) in dec.addis() {
+                    let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
+                    self.ar_wr(r, v);
+                    self.counters.alu_ops += 1;
                 }
             }
         }
@@ -657,9 +635,7 @@ impl Processor {
 
     /// Commits one step: applies the hardware-loop back-edge, drains the
     /// SECDED decode stalls, ticks the prefetcher, records trace/profile
-    /// samples, advances the cycle clock and the PC. Shared verbatim by
-    /// the precise and fast paths so their per-step timing is identical
-    /// by construction.
+    /// samples, advances the cycle clock and the PC.
     #[inline]
     fn finish_step(
         &mut self,
@@ -760,194 +736,42 @@ impl Processor {
     /// watchdog budget raises a precise [`SimError::Fault`] instead of the
     /// plain [`SimError::MaxCyclesExceeded`] budget error, so recovery
     /// policies can treat a hung core as a survivable hardware event.
+    /// When both budgets are reached at once, the budget error wins.
     /// Fault counters are harvested into [`Self::counters`] on every exit
     /// path, including faults.
-    ///
-    /// Eligibility is checked once, here: a run with no observer hooks
-    /// (trace/profile), no watchdog, no pending fault plan and no
-    /// protected local store executes on the fast path — pre-decoded
-    /// basic blocks through the same `exec_instr`/`finish_step` pair the
-    /// precise loop uses, so results, cycles, counters and faults are
-    /// bit-identical by construction (see DESIGN.md and
-    /// `tests/fast_path.rs`). Anything else, or [`Self::set_force_precise`],
-    /// falls back to the precise per-step loop.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        if self.fast_path_eligible() {
-            self.run_fast(max_cycles)
-        } else {
-            self.run_precise(max_cycles)
-        }
-    }
-
-    /// Whether this run can take the fast path. Every condition here is
-    /// an invariant of the specialized loop: no per-step fault injection,
-    /// no mid-run watchdog check, no trace recording, no *precise*
-    /// profiling (sampled profiling is a cheap threshold compare in the
-    /// shared `finish_step` and stays eligible), and no SECDED/parity
-    /// protection state on the local stores.
-    pub fn fast_path_eligible(&self) -> bool {
-        !self.force_precise
-            && self.watchdog.is_none()
-            && self.trace.is_none()
-            && (self.profile.is_none() || self.sample_period.is_some())
-            && self.fault_plan.as_ref().is_none_or(|p| p.is_empty())
-            && self.mem.dmem_protection() == ProtectionKind::None
-    }
-
-    /// The precise per-step run loop (the original engine, unchanged).
-    fn run_precise(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        while self.cycles < max_cycles {
-            if let Some(budget) = self.watchdog {
-                if self.cycles >= budget {
-                    self.harvest_fault_counters();
-                    return Err(SimError::Fault(MachineFault {
+        let program = self.program.clone();
+        let limit = self.watchdog.map_or(max_cycles, |w| w.min(max_cycles));
+        let end = loop {
+            if self.cycles >= limit {
+                break Err(match self.watchdog {
+                    Some(budget) if self.cycles < max_cycles => SimError::Fault(MachineFault {
                         pc: self.pc,
                         cycle: self.cycles,
                         cause: FaultCause::Watchdog { budget },
-                    }));
-                }
-            }
-            match self.step() {
-                Ok(StepOutcome::Halted) => {
-                    self.harvest_fault_counters();
-                    return Ok(RunStats {
-                        cycles: self.cycles,
-                        halted: true,
-                        counters: self.counters.clone(),
-                    });
-                }
-                Ok(StepOutcome::Continue) => {}
-                Err(e) => {
-                    self.harvest_fault_counters();
-                    return Err(e);
-                }
-            }
-        }
-        self.harvest_fault_counters();
-        Err(SimError::MaxCyclesExceeded { budget: max_cycles })
-    }
-
-    /// The block entered at the current PC, decoding (and caching) it on
-    /// first use.
-    fn fast_block_at(&mut self, pc: u32) -> Result<Arc<FastBlock>, SimError> {
-        // Disjoint field borrows: the program stays borrowed shared while
-        // the engine is borrowed mutably — no `Arc` clone per lookup.
-        let program = self.program.as_ref().ok_or(SimError::BadPc { pc })?;
-        let engine = self
-            .fast
-            .get_or_insert_with(|| FastEngine::new(program.entry(), program.size_bytes()));
-        engine.block(program, pc, self.cfg.has_flix)
-    }
-
-    /// The fast-path run loop: executes pre-decoded basic blocks with the
-    /// per-step program lookups hoisted out. Exit paths (halt, budget,
-    /// error promotion, counter harvest) mirror [`Self::run_precise`]
-    /// exactly; the per-step semantics are shared code (`exec_instr` +
-    /// `finish_step`).
-    fn run_fast(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        // One-entry block memo: a hardware loop (or any tight loop whose
-        // body is one block) re-enters the same block every iteration, so
-        // keeping the current block across outer iterations makes the
-        // hottest edge free of both the cache lookup and all `Arc`
-        // traffic; a control transfer elsewhere pays one lookup.
-        let mut cur: Option<(u32, Arc<FastBlock>)> = None;
-        'outer: loop {
-            if self.cycles >= max_cycles {
-                self.harvest_fault_counters();
-                return Err(SimError::MaxCyclesExceeded { budget: max_cycles });
-            }
-            if self.halted {
-                self.harvest_fault_counters();
-                return Ok(RunStats {
-                    cycles: self.cycles,
-                    halted: true,
-                    counters: self.counters.clone(),
+                    }),
+                    _ => SimError::MaxCyclesExceeded { budget: max_cycles },
                 });
             }
-            if !matches!(&cur, Some((pc, _)) if *pc == self.pc) {
-                match self.fast_block_at(self.pc) {
-                    Ok(b) => cur = Some((self.pc, b)),
-                    Err(e) => {
-                        let e = self.promote_fault(self.pc, e);
-                        self.harvest_fault_counters();
-                        return Err(e);
-                    }
-                }
+            match self.step_in(program.as_deref()) {
+                Ok(StepOutcome::Continue) => {}
+                Ok(StepOutcome::Halted) => break Ok(()),
+                Err(e) => break Err(e),
             }
-            let (_, block) = cur.as_ref().expect("block memoized above");
-            for (i, step) in block.steps.iter().enumerate() {
-                // The budget gates every step; the outer loop already
-                // checked it for the block's first step.
-                if i > 0 && self.cycles >= max_cycles {
-                    self.harvest_fault_counters();
-                    return Err(SimError::MaxCyclesExceeded { budget: max_cycles });
-                }
-                match self.exec_fast_step(step) {
-                    Ok(StepOutcome::Continue) => {}
-                    Ok(StepOutcome::Halted) => {
-                        self.harvest_fault_counters();
-                        return Ok(RunStats {
-                            cycles: self.cycles,
-                            halted: true,
-                            counters: self.counters.clone(),
-                        });
-                    }
-                    Err(e) => {
-                        let e = self.promote_fault(step.pc, e);
-                        self.harvest_fault_counters();
-                        return Err(e);
-                    }
-                }
-                // A committed PC that is not the static fall-through means
-                // a taken branch/jump or a hardware-loop back-edge:
-                // re-enter through the block cache.
-                if self.pc != step.fall_through {
-                    continue 'outer;
-                }
-            }
-        }
+        };
+        self.harvest_fault_counters();
+        end.map(|()| RunStats {
+            cycles: self.cycles,
+            halted: true,
+            counters: self.counters.clone(),
+        })
     }
 
-    /// Executes one pre-decoded step: the fast-path twin of
-    /// [`Self::step_inner`], with the fetch and operand-set computation
-    /// done at decode time. Specialized bundles inline the FLIX issue
-    /// order (extension group against pre-cycle ARs, then base `ADDI`s);
-    /// everything else goes through the shared interpreter arm.
-    fn exec_fast_step(&mut self, step: &FastStep) -> Result<StepOutcome, SimError> {
-        self.mem.begin_cycle();
-        let mut cycles: u64 = 1;
-
-        // Load-use interlock from the previous instruction.
-        if let Some(dep) = self.pending_load {
-            if step.src_mask >> (dep.idx() & 15) & 1 != 0 {
-                cycles += 1;
-                self.counters.stall_load_use += 1;
-                // The prefetcher keeps running during the stall.
-                self.mem.tick_prefetcher()?;
-            }
-        }
-        self.pending_load = None;
-
-        let mut next_pc = step.fall_through;
-        let mut halted = false;
-        self.counters.instrs += 1;
-        match &step.kind {
-            FastKind::Instr(instr) => {
-                self.exec_instr(step.pc, instr, &mut cycles, &mut next_pc, &mut halted)?;
-            }
-            FastKind::Bundle { ext_ops, addis } => {
-                self.counters.flix_bundles += 1;
-                if !ext_ops.is_empty() {
-                    cycles += self.exec_ext_group(step.pc, ext_ops)? as u64;
-                }
-                for &(r, s, imm) in addis.iter() {
-                    let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
-                    self.ar_wr(r, v);
-                    self.counters.alu_ops += 1;
-                }
-            }
-        }
-        self.finish_step(step.pc, cycles, next_pc, halted)
+    /// Always `true`: there is one execution engine, so every run takes
+    /// it. Kept because the benchmark's per-layer ledger (`perfbench`)
+    /// reports the share of runs on the fast path through it.
+    pub fn fast_path_eligible(&self) -> bool {
+        true
     }
 }
 

@@ -121,8 +121,8 @@ impl EventCounters {
 }
 
 /// Outcome of a completed simulation run. Equality compares every
-/// field — the fast-path differential suite relies on this to assert
-/// bit-identical stats between the precise and fast engines.
+/// field — the engine tests rely on this to assert that observers and
+/// idle fault plans leave the stats bit-identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     /// Total simulated cycles.

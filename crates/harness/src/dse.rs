@@ -22,7 +22,7 @@ use dbx_analysis::dse::{
 };
 use dbx_bench::perf::q6;
 use dbx_core::kernels::{scalar, SetLayout};
-use dbx_core::runner::{build_processor, run_set_op_with, set_layout, RunOptions};
+use dbx_core::runner::{run_set_op_with, set_layout, RunOptions};
 use dbx_core::{ProcModel, SetOpKind};
 use dbx_cpu::program::{DMEM0_BASE, DMEM1_BASE};
 use dbx_cpu::ProfileMode;
@@ -148,8 +148,6 @@ pub struct ProfiledDse {
     pub period: u64,
     /// Cycles the profiled scalar intersect run took.
     pub run_cycles: u64,
-    /// Whether the profiled run kept the simulator's fast path.
-    pub fast_path: bool,
     /// Distinct profiled addresses feeding the weight map.
     pub profile_points: usize,
     /// Mining result under [`WeightModel::Profile`].
@@ -158,7 +156,7 @@ pub struct ProfiledDse {
 
 /// Mines the scalar intersect kernel with weights measured by the
 /// *sampled* profiler — the end-to-end path the telemetry plane feeds:
-/// a production-shaped run (sampling keeps the fast path) yields a
+/// a production-shaped sampled run yields a
 /// sparse [`dbx_cpu::ProfileSnapshot`], whose weight map drives
 /// [`WeightModel::Profile`] mining of the exact program the runner
 /// executed (rebuilt via [`set_layout`], not the synthetic corpus
@@ -172,13 +170,6 @@ pub fn profile_weighted(period: u64) -> ProfiledDse {
     };
     let run = run_set_op_with(ProcModel::Dba2Lsu, SetOpKind::Intersect, &a, &b, &opts)
         .expect("profiled scalar intersect runs");
-    // Sampling must not demote the simulator off its fast path — probe
-    // the eligibility predicate under the same mode.
-    let fast_path = {
-        let mut p = build_processor(ProcModel::Dba2Lsu).expect("probe processor");
-        p.set_profile_mode(ProfileMode::Sampled { period });
-        p.fast_path_eligible()
-    };
     let snapshot = run.profile.expect("sampled run carries a profile");
     let weights = snapshot.weight_map();
     let profile_points = weights.len();
@@ -193,7 +184,6 @@ pub fn profile_weighted(period: u64) -> ProfiledDse {
     ProfiledDse {
         period,
         run_cycles: run.cycles,
-        fast_path,
         profile_points,
         mined,
     }
@@ -203,10 +193,9 @@ impl ProfiledDse {
     /// Human report of the profile-weighted mining run.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "Profile-weighted mining (sampled every {} cycles; run {} cycles, fast path {}, {} profiled addresses):\n",
+            "Profile-weighted mining (sampled every {} cycles; run {} cycles, {} profiled addresses):\n",
             self.period,
             self.run_cycles,
-            if self.fast_path { "kept" } else { "lost" },
             self.profile_points,
         );
         out.push_str(&format!(
@@ -537,7 +526,6 @@ mod tests {
     #[test]
     fn sampled_profile_drives_weighted_mining_end_to_end() {
         let d = profile_weighted(64);
-        assert!(d.fast_path, "sampling must keep the fast path");
         assert!(d.run_cycles > 0);
         assert!(
             d.profile_points > 0,
@@ -560,7 +548,7 @@ mod tests {
         let e = profile_weighted(64);
         assert_eq!(d.run_cycles, e.run_cycles);
         assert_eq!(d.mined.base_cycles, e.mined.base_cycles);
-        assert!(d.render().contains("fast path kept"));
+        assert!(d.render().contains("profiled addresses"));
     }
 
     #[test]

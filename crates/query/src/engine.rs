@@ -200,12 +200,11 @@ impl QueryEngine {
         let track = self.options.observer.track();
         let pending_plan = plan.take();
         let fault_plan = &pending_plan;
-        let (protection, policy, watchdog, deadline, force_precise, profile) = (
+        let (protection, policy, watchdog, deadline, profile) = (
             self.options.protection,
             self.options.policy,
             self.options.watchdog,
             self.options.deadline,
-            self.options.force_precise,
             self.options.profile,
         );
         let model = self.model;
@@ -225,7 +224,6 @@ impl QueryEngine {
                 deadline,
                 observer,
                 sched: HostSched::Sequential,
-                force_precise,
                 profile,
             };
             run_partition_with(model, SetOpKind::Union, a, b, &op_opts).map(|r| {

@@ -265,9 +265,11 @@ pub struct QueryService<D: Disk> {
     engine: QueryEngine,
     cfg: ServiceConfig,
     obs: Observer,
-    /// Indexed tables cached per immutable [`TableImage`] (keyed by Arc
-    /// pointer identity — a new generation of a table is a new image).
-    table_cache: HashMap<usize, Arc<Table>>,
+    /// Indexed tables, one slot per table name. A slot holds the image its
+    /// index was built from: a new generation of the table is a new image
+    /// and rebuilds, and a cached image stays alive, so no later image can
+    /// be mistaken for it.
+    table_cache: HashMap<String, (Arc<TableImage>, Arc<Table>)>,
 }
 
 impl<D: Disk> QueryService<D> {
@@ -321,9 +323,10 @@ impl<D: Disk> QueryService<D> {
 
     /// Builds (or fetches from cache) the indexed table for an image.
     fn indexed(&mut self, img: &Arc<TableImage>) -> Result<Arc<Table>, QueryError> {
-        let key = Arc::as_ptr(img) as usize;
-        if let Some(t) = self.table_cache.get(&key) {
-            return Ok(Arc::clone(t));
+        if let Some((cached, table)) = self.table_cache.get(&img.name) {
+            if Arc::ptr_eq(cached, img) {
+                return Ok(Arc::clone(table));
+            }
         }
         let cols: Vec<(&str, Vec<u32>)> = img
             .columns
@@ -331,12 +334,8 @@ impl<D: Disk> QueryService<D> {
             .map(|(n, v)| (n.as_str(), v.clone()))
             .collect();
         let table = Arc::new(Table::try_build(&img.name, &cols)?);
-        // Old generations' images die with their views; a tiny cache is
-        // plenty and keeps memory bounded under churn.
-        if self.table_cache.len() >= 32 {
-            self.table_cache.clear();
-        }
-        self.table_cache.insert(key, Arc::clone(&table));
+        self.table_cache
+            .insert(img.name.clone(), (Arc::clone(img), Arc::clone(&table)));
         Ok(table)
     }
 

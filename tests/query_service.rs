@@ -1,12 +1,16 @@
 //! End-to-end tests of the durable serving stack through the `dbasip`
 //! facade: snapshot-isolated concurrent readers, first-committer-wins
 //! OCC with a typed retryable error for the loser, admission-queue
-//! shedding under a synchronized burst, and crash recovery of state
-//! built entirely through the service.
+//! shedding under a synchronized burst, crash recovery of state
+//! built entirely through the service, a scan oracle for every reply of
+//! a mixed read/append workload, and run-to-run determinism of the
+//! serving benchmark.
 
 use dbasip::dbisa::ProcModel;
+use dbasip::faults::XorShift64;
+use dbasip::harness::serve;
 use dbasip::query::{Arrival, Predicate, QueryError, QueryService, Reply, Request, ServiceConfig};
-use dbasip::storage::{Columns, MemDisk};
+use dbasip::storage::{Columns, MemDisk, StoreView};
 use std::sync::Arc;
 use std::thread;
 
@@ -235,4 +239,104 @@ fn views_are_send_and_arc_shareable() {
     let v2 = Arc::clone(&view);
     let t = thread::spawn(move || v2.table("items").unwrap().columns.len());
     assert_eq!(t.join().unwrap(), 2);
+}
+
+/// The RIDs of `table` in `view` whose row satisfies `pred`, by a scalar
+/// scan — the oracle a served reply must equal.
+fn scan(view: &StoreView, table: &str, pred: &Predicate) -> Vec<u32> {
+    let img = view.table(table).expect("queried table exists");
+    let column = |name: &str| {
+        &img.columns
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("predicate column exists")
+            .1
+    };
+    (0..img.n_rows())
+        .filter(|&row| pred.matches(&|c: &str| column(c)[row]))
+        .map(|row| row as u32)
+        .collect()
+}
+
+fn random_predicate(rng: &mut XorShift64, depth: u32) -> Predicate {
+    let leaf = |rng: &mut XorShift64| match rng.below(3) {
+        0 => Predicate::eq("color", rng.below(5) as u32),
+        1 => Predicate::eq("size", rng.below(3) as u32),
+        _ => {
+            let lo = rng.below(5) as u32;
+            Predicate::between("color", lo, lo + rng.below(3) as u32)
+        }
+    };
+    if depth == 0 || rng.below(3) == 0 {
+        return leaf(rng);
+    }
+    let (a, b) = (
+        random_predicate(rng, depth - 1),
+        random_predicate(rng, depth - 1),
+    );
+    match rng.below(3) {
+        0 => a.and(b),
+        1 => a.or(b),
+        _ => a.and_not(b),
+    }
+}
+
+/// Every reply of a seeded mixed read/append workload equals a scalar
+/// scan over the view the request read. Appends change `items` between
+/// queries, so a stale index cached across generations would answer from
+/// an older table and fail here.
+#[test]
+fn every_served_reply_equals_a_scan_of_the_view_it_read() {
+    for seed in [11u64, 1337, 90210] {
+        let mut rng = XorShift64::new(seed);
+        let mut s = open_seeded(40);
+        for i in 0..120 {
+            let request = if rng.below(4) == 0 {
+                let n = 1 + rng.below(4) as usize;
+                Request::Append {
+                    table: "items".into(),
+                    rows: vec![
+                        (
+                            "color".into(),
+                            (0..n).map(|_| rng.below(5) as u32).collect(),
+                        ),
+                        ("size".into(), (0..n).map(|_| rng.below(3) as u32).collect()),
+                    ],
+                }
+            } else {
+                Request::Query {
+                    table: "items".into(),
+                    predicate: random_predicate(&mut rng, 2),
+                }
+            };
+            // Requests run one at a time, so the view taken now is the
+            // one the request reads.
+            let view = s.view();
+            let report = s.run(&[Arrival::new(0, request.clone())]);
+            let result = &report.completions[0].result;
+            match (&request, result) {
+                (Request::Query { table, predicate }, Ok(Reply::Rids(rids))) => assert_eq!(
+                    rids,
+                    &scan(&view, table, predicate),
+                    "seed {seed}, request {i}: {predicate:?}"
+                ),
+                (Request::Append { .. }, Ok(Reply::Committed(_))) => {}
+                (_, other) => panic!("seed {seed}, request {i}: unexpected {other:?}"),
+            }
+        }
+    }
+}
+
+/// The serving benchmark is deterministic within one process: five runs
+/// produce identical per-request records (phases, outcomes, retries).
+#[test]
+fn repeated_serve_runs_in_one_process_are_identical() {
+    let first = serve::run(0.25).telemetry.records;
+    for run in 1..5 {
+        let again = serve::run(0.25).telemetry.records;
+        assert_eq!(first.len(), again.len(), "run {run}: record count");
+        for (a, b) in first.iter().zip(&again) {
+            assert_eq!(a, b, "run {run}: qid {} diverged", a.qid);
+        }
+    }
 }
