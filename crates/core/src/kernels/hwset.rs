@@ -29,7 +29,8 @@ use dbx_cpu::{Program, ProgramBuilder, SimError};
 pub const DEFAULT_UNROLL: usize = 32;
 
 /// Builds the EIS sorted-set program for `kind` over `layout` with the
-/// given LSU `wiring` and loop `unroll` factor.
+/// given LSU `wiring` and loop `unroll` factor. The stream pointers are
+/// parameters in [`SetLayout::params`] order.
 pub fn set_op_program(
     kind: SetOpKind,
     wiring: &DbExtConfig,
@@ -40,16 +41,17 @@ pub fn set_op_program(
     // ---- initialisation (Figure 11: INIT_STATES + initial load) ----
     b.label("init");
     b.inst(e(op::INIT));
-    b.movi(A2, layout.a_base as i32);
-    b.inst(e_s(op::WUR_PTR_A, A2));
-    b.movi(A2, layout.a_end() as i32);
-    b.inst(e_s(op::WUR_END_A, A2));
-    b.movi(A2, layout.b_base as i32);
-    b.inst(e_s(op::WUR_PTR_B, A2));
-    b.movi(A2, layout.b_end() as i32);
-    b.inst(e_s(op::WUR_END_B, A2));
-    b.movi(A2, layout.c_base as i32);
-    b.inst(e_s(op::WUR_PTR_C, A2));
+    let wur = [
+        op::WUR_PTR_A,
+        op::WUR_END_A,
+        op::WUR_PTR_B,
+        op::WUR_END_B,
+        op::WUR_PTR_C,
+    ];
+    for (k, (value, wur)) in layout.params().into_iter().zip(wur).enumerate() {
+        b.movi_param(A2, k as u8, value as i32);
+        b.inst(e_s(wur, A2));
+    }
     emit_core_and_epilogue(&mut b, kind, wiring, unroll);
     b.build()
 }

@@ -24,8 +24,9 @@ use crate::ops::{opcodes as op, DbExtConfig};
 use dbx_cpu::isa::regs::*;
 use dbx_cpu::{Program, ProgramBuilder, SimError};
 
-/// Builds the EIS merge-sort program. Returns the program and whether the
-/// sorted data ends up in the `dst` buffer.
+/// Builds the EIS merge-sort program, its buffers and sizes parameters in
+/// [`SortLayout::params`] order. Returns the program and whether the
+/// sorted data ends up in the `dst` buffer ([`sort_result_in_dst`]).
 pub fn merge_sort_program(
     _wiring: &DbExtConfig,
     layout: &SortLayout,
@@ -39,9 +40,10 @@ pub fn merge_sort_program(
 
     // a1 = width bytes, a13 = total bytes, a14 = src, a15 = dst.
     b.label("init");
-    b.movi(A14, layout.src as i32);
-    b.movi(A15, layout.dst as i32);
-    b.movi(A13, (n * 4) as i32);
+    let [src, dst, bytes, blocks] = layout.params().map(|v| v as i32);
+    b.movi_param(A14, 0, src);
+    b.movi_param(A15, 1, dst);
+    b.movi_param(A13, 2, bytes);
 
     // ---- presort pass: sorted runs of 4, src -> dst ----
     b.label("presort");
@@ -50,7 +52,7 @@ pub fn merge_sort_program(
     b.add(A2, A14, A13);
     b.inst(e_s(op::WUR_END_A, A2));
     b.inst(e_s(op::WUR_PTR_C, A15));
-    b.movi(A3, (n / 4) as i32);
+    b.movi_param(A3, 3, blocks);
     b.label("presort_loop");
     b.inst(e(op::SORT4_LD));
     b.inst(e(op::CPY_ST));
@@ -126,14 +128,19 @@ pub fn merge_sort_program(
     b.label("done_passes");
     b.halt();
 
-    // Buffer parity: presort swaps once, then one swap per merge pass.
+    Ok((b.build()?, sort_result_in_dst(n)))
+}
+
+/// Whether the EIS merge-sort of `n` elements leaves its result in the
+/// `dst` buffer: the presort swaps once, then one swap per merge pass.
+pub fn sort_result_in_dst(n: u32) -> bool {
     let mut passes = 1u32;
     let mut w = 16u64;
     while w < (n as u64) * 4 {
         passes += 1;
         w *= 2;
     }
-    Ok((b.build()?, passes % 2 == 1))
+    passes % 2 == 1
 }
 
 #[cfg(test)]

@@ -8,6 +8,12 @@
 //!   instruction-set extension (the paper's Figure 11 core loop).
 //! * [`hwsort`] — merge-sort using the presort and merge instructions
 //!   (the paper's Figure 12 core loop).
+//!
+//! Every builder emits the layout-dependent `MOVI`s of its init block as
+//! numbered program parameters ([`dbx_cpu::ProgramBuilder::movi_param`]),
+//! in the order of [`SetLayout::params`] / [`SortLayout::params`]. The
+//! program a builder returns runs as built, and also serves as a template
+//! for any other layout whose values encode at the same widths.
 
 pub mod hwset;
 pub mod hwsort;
@@ -44,6 +50,18 @@ impl SetLayout {
     pub fn b_end(&self) -> u32 {
         self.b_base + 4 * self.b_len
     }
+
+    /// The set-op kernels' parameter values, in parameter order:
+    /// `[a_base, a_end, b_base, b_end, c_base]`.
+    pub fn params(&self) -> [u32; 5] {
+        [
+            self.a_base,
+            self.a_end(),
+            self.b_base,
+            self.b_end(),
+            self.c_base,
+        ]
+    }
 }
 
 /// Placement of the sort buffers (ping/pong) in data memory.
@@ -55,6 +73,15 @@ pub struct SortLayout {
     pub dst: u32,
     /// Elements to sort (must be a positive multiple of 4).
     pub n: u32,
+}
+
+impl SortLayout {
+    /// The sort kernels' parameter values, in parameter order:
+    /// `[src, dst, 4n (bytes), n/4 (presort blocks)]`. The scalar kernel
+    /// has no presort pass and takes the first three.
+    pub fn params(&self) -> [u32; 4] {
+        [self.src, self.dst, 4 * self.n, self.n / 4]
+    }
 }
 
 /// An extension op with no register operands.

@@ -19,19 +19,23 @@
 //! result length as `(a6 - c_base) / 4`.
 
 use super::SetLayout;
+#[cfg(doc)]
+use super::SortLayout;
 use crate::datapath::SetOpKind;
 use dbx_cpu::isa::regs::*;
 use dbx_cpu::{Program, ProgramBuilder, SimError};
 
-/// Builds the scalar sorted-set program for `kind` over `layout`.
+/// Builds the scalar sorted-set program for `kind` over `layout`. The
+/// stream pointers are parameters in [`SetLayout::params`] order.
 pub fn set_op_program(kind: SetOpKind, layout: &SetLayout) -> Result<Program, SimError> {
     let mut b = ProgramBuilder::new();
     b.label("init");
-    b.movi(A2, layout.a_base as i32);
-    b.movi(A3, layout.b_base as i32);
-    b.movi(A4, layout.a_end() as i32);
-    b.movi(A5, layout.b_end() as i32);
-    b.movi(A6, layout.c_base as i32);
+    let [a_base, a_end, b_base, b_end, c_base] = layout.params().map(|v| v as i32);
+    b.movi_param(A2, 0, a_base);
+    b.movi_param(A3, 2, b_base);
+    b.movi_param(A4, 1, a_end);
+    b.movi_param(A5, 3, b_end);
+    b.movi_param(A6, 4, c_base);
 
     b.label("core_loop");
     match kind {
@@ -125,15 +129,16 @@ pub fn set_op_program(kind: SetOpKind, layout: &SetLayout) -> Result<Program, Si
 
 /// Builds the scalar bottom-up merge-sort (Section 2.3, Figure 2's merge
 /// inside a width-doubling driver). `src`/`dst` are equally-sized ping-pong
-/// buffers of `n` elements; returns the program and whether the sorted
-/// result ends up in the `dst` buffer.
+/// buffers of `n` elements, parameters in [`SortLayout::params`] order
+/// (the first three); returns the program and whether the sorted result
+/// ends up in the `dst` buffer ([`sort_result_in_dst`]).
 pub fn merge_sort_program(src: u32, dst: u32, n: u32) -> Result<(Program, bool), SimError> {
     let mut b = ProgramBuilder::new();
     // a1 = width in bytes, a13 = total bytes, a14 = src, a15 = dst.
     b.label("init");
-    b.movi(A14, src as i32);
-    b.movi(A15, dst as i32);
-    b.movi(A13, (n * 4) as i32);
+    b.movi_param(A14, 0, src as i32);
+    b.movi_param(A15, 1, dst as i32);
+    b.movi_param(A13, 2, (n * 4) as i32);
     b.movi(A1, 4);
 
     b.label("pass_loop");
@@ -199,14 +204,37 @@ pub fn merge_sort_program(src: u32, dst: u32, n: u32) -> Result<(Program, bool),
     b.label("done_passes");
     b.halt();
 
-    // Result buffer parity: one swap per executed pass.
+    Ok((b.build()?, sort_result_in_dst(n)))
+}
+
+/// Whether the scalar merge-sort of `n` elements leaves its result in the
+/// `dst` buffer: one ping-pong swap per executed pass.
+pub fn sort_result_in_dst(n: u32) -> bool {
     let mut passes = 0u32;
     let mut w = 4u64;
     while w < (n as u64) * 4 {
         passes += 1;
         w *= 2;
     }
-    Ok((b.build()?, passes % 2 == 1))
+    passes % 2 == 1
+}
+
+/// Builds the `SUM` reduction: a hardware loop adding `count` words from
+/// `base`, with the 32-bit wrapping sum left in `a2`. `base` and `count`
+/// are parameters 0 and 1.
+pub fn sum_program(base: u32, count: u32) -> Result<Program, SimError> {
+    // a2 = sum, a3 = ptr, a4 = count, a5 = value.
+    let mut b = ProgramBuilder::new();
+    b.movi(A2, 0);
+    b.movi_param(A3, 0, base as i32);
+    b.movi_param(A4, 1, count as i32);
+    b.hw_loop(A4, "done");
+    b.l32i(A5, A3, 0);
+    b.add(A2, A2, A5);
+    b.addi(A3, A3, 4);
+    b.label("done");
+    b.halt();
+    b.build()
 }
 
 #[cfg(test)]

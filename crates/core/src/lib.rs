@@ -11,9 +11,10 @@
 //! * [`kernels`] — programs: EIS sorted-set ops and merge-sort, and the
 //!   scalar baselines of the paper's Figures 2 and 3.
 //! * [`configs`] — the paper's six processor models.
-//! * [`runner`] — one-call APIs that place data, run, and verify.
-//! * [`progcache`] — process-wide memoization of assembled kernel
-//!   programs keyed by (model, kernel, layout).
+//! * [`runner`] — one-call APIs that place data, run, and verify, on a
+//!   reused per-thread processor.
+//! * [`progcache`] — process-wide memoization of kernel templates keyed
+//!   by (model, kernel, parameter width class).
 //! * [`stream`] — larger-than-local-store processing with the data
 //!   prefetcher (double buffering).
 //! * [`multicore`] — shared-nothing partitioned execution across many
@@ -39,7 +40,7 @@ pub use multicore::{run_partition, run_partition_with, PartitionRun};
 pub use ops::{opcodes, DbExtConfig, DbExtension};
 pub use runner::{
     build_processor, build_processor_with, run_set_op, run_set_op_with, run_sort, run_sort_with,
-    scalar_fallback, set_preflight, KernelRun, RecoveryPolicy, RunOptions,
+    run_sum, scalar_fallback, set_preflight, KernelRun, RecoveryPolicy, RunOptions,
 };
 pub use sched::{run_indexed, HostSched};
 pub use states::SENTINEL;

@@ -1,31 +1,30 @@
-//! Process-wide memoization of assembled kernel programs.
+//! Process-wide memoization of kernel templates.
 //!
-//! Assembling a set-op or sort kernel is deterministic in the processor
-//! model, the kernel selection, and the data layout. Bench sweeps and the
-//! runner's retry loop would otherwise re-assemble (and re-verify) the
-//! identical program for every point or attempt; the cache hands out
-//! [`Arc<Program>`] handles instead, which the simulator's shared-program
-//! loader ([`dbx_cpu::Processor::load_program_shared`]) accepts without
-//! copying the instruction image.
+//! Every kernel builder emits its layout-dependent immediates as program
+//! parameters (see [`crate::kernels`]), so one assembled program serves
+//! every data layout whose parameter values encode at the same `MOVI`
+//! widths; the runner binds the actual values on the processor at load
+//! time. The cache key is therefore the processor model, the kernel, and
+//! the width class of each parameter — a handful of entries in total, so
+//! the cache never evicts. It hands out [`Arc<Program>`] handles, which
+//! [`dbx_cpu::Processor::load_program_shared`] accepts without copying.
 //!
-//! The cache is a plain mutex-guarded map: kernel assembly happens well
-//! off the per-cycle path, and holding the lock across a miss means two
-//! host threads racing on the same key assemble it once.
+//! The cache is a plain mutex-guarded map: lookups happen once per kernel
+//! run, and holding the lock across a miss means two host threads racing
+//! on the same key assemble it once.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use dbx_cpu::isa::movi_is_wide;
 use dbx_cpu::program::Program;
 use dbx_cpu::SimError;
 
 use crate::configs::ProcModel;
 use crate::datapath::SetOpKind;
-use crate::kernels::{SetLayout, SortLayout};
 
-/// Memoization key: everything a kernel's assembly depends on. The layout
-/// is part of the key because base addresses and element counts are baked
-/// into the emitted immediates.
+/// Memoization key: everything a template's assembly depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum ProgKey {
     /// A sorted-set operation kernel.
@@ -34,37 +33,36 @@ pub(crate) enum ProgKey {
         model: ProcModel,
         /// The set operation.
         kind: SetOpKind,
-        /// Input/output placement.
-        layout: SetLayout,
+        /// Width class of the parameters ([`width_class`]).
+        wide: u32,
     },
     /// A merge-sort kernel.
     Sort {
         /// Processor model (already lowered to its 1-LSU sort form).
         model: ProcModel,
-        /// Ping-pong buffer placement.
-        layout: SortLayout,
+        /// Width class of the parameters ([`width_class`]).
+        wide: u32,
+    },
+    /// The `SUM` reduction (one program for every model).
+    Sum {
+        /// Width class of the parameters ([`width_class`]).
+        wide: u32,
     },
 }
 
-/// A memoized assembly result.
-#[derive(Clone)]
-pub(crate) struct CachedProgram {
-    /// The assembled (and preflight-verified) program.
-    pub program: Arc<Program>,
-    /// Sort kernels only: whether the sorted data ends in the scratch
-    /// buffer (odd number of merge passes). `false` for set operations.
-    pub in_dst: bool,
+/// The width class of a parameter binding: bit `k` is set when value `k`
+/// needs the wide (literal-word) `MOVI` encoding.
+pub(crate) fn width_class(params: &[u32]) -> u32 {
+    params
+        .iter()
+        .enumerate()
+        .fold(0, |m, (k, &v)| m | u32::from(movi_is_wide(v as i32)) << k)
 }
-
-/// Cache capacity bound. On overflow the map is cleared outright — a
-/// deterministic policy that keeps the steady state simple; sweeps cycle
-/// through far fewer distinct (model, kernel, layout) triples than this.
-const CACHE_CAP: usize = 256;
 
 static ASSEMBLIES: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<HashMap<ProgKey, CachedProgram>> {
-    static CACHE: OnceLock<Mutex<HashMap<ProgKey, CachedProgram>>> = OnceLock::new();
+fn cache() -> &'static Mutex<HashMap<ProgKey, Arc<Program>>> {
+    static CACHE: OnceLock<Mutex<HashMap<ProgKey, Arc<Program>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -75,6 +73,7 @@ pub fn assemblies() -> u64 {
     ASSEMBLIES.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
 fn assembly_counts() -> &'static Mutex<HashMap<ProgKey, u64>> {
     static COUNTS: OnceLock<Mutex<HashMap<ProgKey, u64>>> = OnceLock::new();
     COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
@@ -82,8 +81,7 @@ fn assembly_counts() -> &'static Mutex<HashMap<ProgKey, u64>> {
 
 /// How often `key` has been assembled since process start. Unlike
 /// [`assemblies`], this is immune to unrelated kernels assembled by
-/// concurrently running tests, and it survives capacity clears of the
-/// cache itself.
+/// concurrently running tests.
 #[cfg(test)]
 pub(crate) fn assemblies_for(key: &ProgKey) -> u64 {
     assembly_counts()
@@ -95,27 +93,26 @@ pub(crate) fn assemblies_for(key: &ProgKey) -> u64 {
 }
 
 /// Looks up `key`, assembling with `build` on a miss. Errors from `build`
-/// (bad layouts, preflight failures) are never cached, so every caller
-/// sees them.
+/// are never cached, so every caller sees them.
 pub(crate) fn get_or_assemble(
     key: ProgKey,
-    build: impl FnOnce() -> Result<CachedProgram, SimError>,
-) -> Result<CachedProgram, SimError> {
+    build: impl FnOnce() -> Result<Program, SimError>,
+) -> Result<Arc<Program>, SimError> {
     let mut map = cache().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = map.get(&key) {
-        return Ok(hit.clone());
+        return Ok(Arc::clone(hit));
     }
-    let built = build()?;
+    let built = Arc::new(build()?);
     ASSEMBLIES.fetch_add(1, Ordering::Relaxed);
-    *assembly_counts()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .entry(key)
-        .or_insert(0) += 1;
-    if map.len() >= CACHE_CAP {
-        map.clear();
+    #[cfg(test)]
+    {
+        *assembly_counts()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(key)
+            .or_insert(0) += 1;
     }
-    map.insert(key, built.clone());
+    map.insert(key, Arc::clone(&built));
     Ok(built)
 }
 
@@ -123,29 +120,22 @@ pub(crate) fn get_or_assemble(
 mod tests {
     use super::*;
 
-    fn key(n: u32) -> ProgKey {
+    fn key(wide: u32) -> ProgKey {
         ProgKey::Sort {
             model: ProcModel::Dba1Lsu,
-            layout: SortLayout {
-                src: 0x1000,
-                dst: 0x2000,
-                n,
-            },
+            wide,
         }
     }
 
-    fn dummy() -> CachedProgram {
+    fn dummy() -> Program {
         let mut b = dbx_cpu::program::ProgramBuilder::new();
         b.halt();
-        CachedProgram {
-            program: Arc::new(b.build().unwrap()),
-            in_dst: false,
-        }
+        b.build().unwrap()
     }
 
     #[test]
     fn hit_does_not_reassemble() {
-        let k = key(u32::MAX); // distinct from any real layout
+        let k = key(u32::MAX); // distinct from any real width class
         let before = assemblies_for(&k);
         get_or_assemble(k, || Ok(dummy())).unwrap();
         get_or_assemble(k, || panic!("cache hit must not rebuild")).unwrap();
@@ -159,5 +149,14 @@ mod tests {
         assert!(r.is_err());
         // The next attempt still runs the builder.
         get_or_assemble(k, || Ok(dummy())).unwrap();
+    }
+
+    #[test]
+    fn width_class_marks_wide_values() {
+        assert_eq!(width_class(&[]), 0);
+        assert_eq!(
+            width_class(&[0x6000_0000, 16, 1 << 21, (1 << 21) - 1]),
+            0b101
+        );
     }
 }

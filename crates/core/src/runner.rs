@@ -15,7 +15,15 @@
 //! assert!(run.result.iter().all(|x| x % 6 == 0));
 //! assert!(run.cycles > 0);
 //! ```
+//!
+//! Per-run setup is amortized twice over. Kernels are cached templates
+//! ([`crate::progcache`]) whose layout values the runner binds on the
+//! processor at load time. And each host thread keeps one [`Processor`]
+//! per (model, protection override), which every attempt of every run
+//! starts from after [`Processor::reset`] has put it back in its freshly
+//! built state — so reuse is invisible in results, cycles and counters.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -23,7 +31,7 @@ use crate::configs::ProcModel;
 use crate::datapath::SetOpKind;
 use crate::kernels::{hwset, hwsort, scalar, SetLayout, SortLayout};
 use crate::ops::DbExtension;
-use crate::progcache;
+use crate::progcache::{self, width_class, ProgKey};
 use crate::states::SENTINEL;
 use dbx_cpu::ext::Extension;
 use dbx_cpu::observe::emit_kernel_run;
@@ -55,17 +63,64 @@ fn preflight_enabled() -> bool {
     PREFLIGHT.load(Ordering::Relaxed) || std::env::var_os("DBX_PREFLIGHT").is_some_and(|v| v != "0")
 }
 
-/// Runs the static verifier over `program` as it will execute on `model`,
-/// when pre-flight is enabled. Warnings are ignored here; `dbx-lint`
-/// surfaces them interactively.
-fn preflight_check(program: &Program, model: ProcModel) -> Result<(), SimError> {
-    if !preflight_enabled() {
-        return Ok(());
+/// The cached template for `key`, assembled by `build` on a miss. With
+/// pre-flight enabled, the static verifier checks the program as it will
+/// execute on `model` — the template bound to `params` — and warnings are
+/// ignored here; `dbx-lint` surfaces them interactively.
+fn template(
+    key: ProgKey,
+    model: ProcModel,
+    params: &[u32],
+    build: impl FnOnce() -> Result<Program, SimError>,
+) -> Result<Arc<Program>, SimError> {
+    let program = progcache::get_or_assemble(key, build)?;
+    if preflight_enabled() {
+        let cfg = model.cpu_config();
+        let ext = model.wiring().map(DbExtension::new);
+        let ext_ref = ext.as_ref().map(|e| e as &dyn Extension);
+        dbx_analysis::preflight(&program.bind(params)?, ext_ref, &cfg)?;
     }
-    let cfg = model.cpu_config();
-    let ext = model.wiring().map(DbExtension::new);
-    let ext_ref = ext.as_ref().map(|e| e as &dyn Extension);
-    dbx_analysis::preflight(program, ext_ref, &cfg).map(|_warnings| ())
+    Ok(program)
+}
+
+thread_local! {
+    /// This thread's reusable processors, one per (model, protection
+    /// override).
+    static POOL: RefCell<Vec<(ProcModel, Option<ProtectionKind>, Processor)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's processor for `model` under the
+/// `protection` override, in its freshly built state: pooled and
+/// [`Processor::reset`], or built on first use. The processor returns to
+/// the pool afterwards (a nested call for the same key, such as a scalar
+/// model degrading to itself, builds its own and the first one back wins).
+fn with_processor<T>(
+    model: ProcModel,
+    protection: Option<ProtectionKind>,
+    f: impl FnOnce(&mut Processor) -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    let key = |&(m, pk, _): &(ProcModel, Option<ProtectionKind>, Processor)| {
+        m == model && pk == protection
+    };
+    let pooled = POOL.with_borrow_mut(|pool| {
+        let ix = pool.iter().position(key)?;
+        Some(pool.swap_remove(ix).2)
+    });
+    let mut p = match pooled {
+        Some(mut p) => {
+            p.reset();
+            p
+        }
+        None => build_processor_with(model, protection)?,
+    };
+    let out = f(&mut p);
+    POOL.with_borrow_mut(|pool| {
+        if !pool.iter().any(key) {
+            pool.push((model, protection, p));
+        }
+    });
+    out
 }
 
 /// What a runner does when a machine fault (detected upset, watchdog
@@ -305,8 +360,8 @@ pub fn scalar_fallback(model: ProcModel) -> ProcModel {
 
 /// Chooses where the two sets and the result live for a model — the
 /// exact layout [`run_set_op_with`] places data with. Public so analysis
-/// layers (profile-guided DSE) can rebuild the *same* program the runner
-/// executed and map profile addresses back onto it.
+/// layers (profile-guided DSE, the kernel linter) can rebuild the *same*
+/// program the runner executed and map profile addresses back onto it.
 pub fn set_layout(model: ProcModel, a_len: u32, b_len: u32) -> Result<SetLayout, SimError> {
     let (a_base, b_base, c_base, limit): (u32, u32, u32, u32) = match model {
         ProcModel::Mini108 => {
@@ -357,6 +412,149 @@ pub fn set_layout(model: ProcModel, a_len: u32, b_len: u32) -> Result<SetLayout,
     })
 }
 
+/// The processor model a sort on `model` executes on: the 1-LSU
+/// arrangement (see [`run_sort`]).
+pub fn sort_model(model: ProcModel) -> ProcModel {
+    match model {
+        ProcModel::Dba2LsuEis { partial } => ProcModel::Dba1LsuEis { partial },
+        ProcModel::Dba2Lsu => ProcModel::Dba1Lsu,
+        m => m,
+    }
+}
+
+/// The ping-pong buffers [`run_sort_with`] sorts `len` elements in on
+/// `model`, `len` padded to a multiple of 4.
+pub fn sort_layout(model: ProcModel, len: u32) -> Result<SortLayout, SimError> {
+    let n = len.next_multiple_of(4);
+    let (src, limit) = match sort_model(model) {
+        ProcModel::Mini108 => (SYSMEM_BASE, u32::MAX),
+        _ => (DMEM0_BASE, DMEM0_BASE + 64 * 1024),
+    };
+    let dst = align16(src + 4 * n);
+    if align16(dst + 4 * n) > limit {
+        return Err(SimError::BadProgram(format!(
+            "{n} elements do not fit the ping-pong sort buffers in local memory"
+        )));
+    }
+    Ok(SortLayout { src, dst, n })
+}
+
+/// One kernel run as the attempt loop sees it.
+struct Kernel<'a> {
+    /// Span name: the set operation, or `sort`.
+    name: &'static str,
+    /// The model the caller asked for (reported, and degraded from).
+    model: ProcModel,
+    /// The model the kernel executes on.
+    exec_model: ProcModel,
+    /// The cached template.
+    program: Arc<Program>,
+    /// Its parameter values.
+    params: &'a [u32],
+    /// `(address, words)` placed before every attempt.
+    inputs: &'a [(u32, &'a [u32])],
+    /// Elements the run streams (the throughput denominator).
+    elements: u64,
+}
+
+/// Runs `k` under the recovery policy of `opts`: every attempt starts from
+/// the freshly reset pooled processor with the inputs re-placed (the
+/// checkpoint is the kernel boundary itself), reads its result with
+/// `result`, and a policy that degrades calls `degrade` with the fallback
+/// options once the accelerated attempts are spent.
+fn run_kernel(
+    k: &Kernel,
+    opts: &RunOptions,
+    result: impl Fn(&mut Processor) -> Result<Vec<u32>, SimError>,
+    degrade: impl FnOnce(&RunOptions) -> Result<KernelRun, SimError>,
+) -> Result<KernelRun, SimError> {
+    let program_bytes = k.program.size_bytes();
+    let mut attempt = 0u32;
+    let mut faults = FaultCounters::default();
+    let mut recovered: Option<MachineFault> = None;
+    let done = with_processor(k.exec_model, opts.protection, |p| loop {
+        if attempt > 0 {
+            p.reset();
+        }
+        match opts.profile {
+            // Back-compat coupling: an observed run is profiled precisely.
+            ProfileMode::Off if opts.observer.is_enabled() => p.enable_profiling(),
+            mode => p.set_profile_mode(mode),
+        }
+        p.load_program_shared(Arc::clone(&k.program))?;
+        p.bind_params(k.params)?;
+        for &(addr, words) in k.inputs {
+            p.mem.poke_words(addr, words)?;
+        }
+        if attempt == 0 {
+            if let Some(plan) = &opts.fault_plan {
+                p.set_fault_plan(plan.clone());
+            }
+        }
+        p.set_watchdog(opts.effective_watchdog());
+        match p.run(MAX_CYCLES) {
+            Ok(stats) => {
+                let result = result(p)?;
+                faults.merge(&p.fault_counters());
+                let profile = p
+                    .profile()
+                    .zip(p.program())
+                    .map(|(pr, prog)| pr.snapshot(prog));
+                emit_run_observation(
+                    &opts.observer,
+                    k.name,
+                    k.model,
+                    profile.as_ref(),
+                    &stats,
+                    k.elements,
+                    result.len() as u64,
+                    attempt,
+                );
+                return Ok(Some(KernelRun {
+                    result,
+                    cycles: stats.cycles,
+                    program_bytes,
+                    stats,
+                    retries: attempt,
+                    degraded: false,
+                    faults,
+                    recovered_fault: recovered.clone(),
+                    profile,
+                }));
+            }
+            Err(SimError::Fault(mf)) => {
+                faults.merge(&p.fault_counters());
+                emit_fault_observation(&opts.observer, k.name, k.model, p, &mf, attempt);
+                recovered = Some(mf.clone());
+                if attempt < opts.policy.max_retries() {
+                    attempt += 1;
+                    continue;
+                }
+                if matches!(opts.policy, RecoveryPolicy::DegradeToScalar { .. }) {
+                    return Ok(None);
+                }
+                return Err(SimError::Fault(mf));
+            }
+            Err(e) => return Err(e),
+        }
+    })?;
+    if let Some(run) = done {
+        return Ok(run);
+    }
+    let fallback = RunOptions {
+        protection: opts.protection,
+        observer: opts.observer.clone(),
+        profile: opts.profile,
+        ..RunOptions::default()
+    };
+    let mut run = degrade(&fallback)?;
+    run.retries = attempt;
+    run.degraded = true;
+    run.faults.merge(&faults);
+    run.recovered_fault = recovered;
+    Ok(run)
+}
+
 /// Runs a sorted-set operation on the given processor model and returns
 /// the result with cycle counts. Inputs must be strictly increasing.
 pub fn run_set_op(
@@ -381,114 +579,38 @@ pub fn run_set_op_with(
     validate_set("A", a)?;
     validate_set("B", b)?;
     let layout = set_layout(model, a.len() as u32, b.len() as u32)?;
-    // Memoized assembly: the program depends only on (model, kind,
-    // layout), so bench sweeps and the retry loop below reuse one image.
-    let cached = progcache::get_or_assemble(
-        progcache::ProgKey::SetOp {
-            model,
-            kind,
-            layout,
-        },
-        || {
-            let program = match model.wiring() {
-                Some(wiring) => {
-                    hwset::set_op_program(kind, &wiring, &layout, hwset::DEFAULT_UNROLL)?
-                }
-                None => scalar::set_op_program(kind, &layout)?,
+    let params = layout.params();
+    let key = ProgKey::SetOp {
+        model,
+        kind,
+        wide: width_class(&params),
+    };
+    let program = template(key, model, &params, || match model.wiring() {
+        Some(wiring) => hwset::set_op_program(kind, &wiring, &layout, hwset::DEFAULT_UNROLL),
+        None => scalar::set_op_program(kind, &layout),
+    })?;
+    let kernel = Kernel {
+        name: kind.name(),
+        model,
+        exec_model: model,
+        program,
+        params: &params,
+        inputs: &[(layout.a_base, a), (layout.b_base, b)],
+        elements: (a.len() + b.len()) as u64,
+    };
+    run_kernel(
+        &kernel,
+        opts,
+        |p| {
+            let out_len = if model.has_eis() {
+                p.ar[2] as usize
+            } else {
+                ((p.ar[6] - layout.c_base) / 4) as usize
             };
-            preflight_check(&program, model)?;
-            Ok(progcache::CachedProgram {
-                program: Arc::new(program),
-                in_dst: false,
-            })
+            p.mem.peek_words(layout.c_base, out_len)
         },
-    )?;
-    let program = cached.program;
-    let program_bytes = program.size_bytes();
-
-    let mut attempt = 0u32;
-    let mut faults = FaultCounters::default();
-    let mut recovered: Option<MachineFault> = None;
-    loop {
-        // Each attempt starts from clean hardware and re-placed inputs —
-        // the checkpoint here is the kernel boundary itself.
-        let mut p = build_processor_with(model, opts.protection)?;
-        match opts.profile {
-            // Back-compat coupling: an observed run is profiled precisely.
-            ProfileMode::Off if opts.observer.is_enabled() => p.enable_profiling(),
-            mode => p.set_profile_mode(mode),
-        }
-        p.load_program_shared(Arc::clone(&program))?;
-        p.mem.poke_words(layout.a_base, a)?;
-        p.mem.poke_words(layout.b_base, b)?;
-        if attempt == 0 {
-            if let Some(plan) = &opts.fault_plan {
-                p.set_fault_plan(plan.clone());
-            }
-        }
-        p.set_watchdog(opts.effective_watchdog());
-        match p.run(MAX_CYCLES) {
-            Ok(stats) => {
-                let out_len = if model.has_eis() {
-                    p.ar[2] as usize
-                } else {
-                    ((p.ar[6] - layout.c_base) / 4) as usize
-                };
-                let result = p.mem.peek_words(layout.c_base, out_len)?;
-                faults.merge(&p.fault_counters());
-                let profile = p
-                    .profile()
-                    .zip(p.program())
-                    .map(|(pr, prog)| pr.snapshot(prog));
-                emit_run_observation(
-                    &opts.observer,
-                    kind.name(),
-                    model,
-                    profile.as_ref(),
-                    &stats,
-                    (a.len() + b.len()) as u64,
-                    result.len() as u64,
-                    attempt,
-                );
-                return Ok(KernelRun {
-                    result,
-                    cycles: stats.cycles,
-                    program_bytes,
-                    stats,
-                    retries: attempt,
-                    degraded: false,
-                    faults,
-                    recovered_fault: recovered,
-                    profile,
-                });
-            }
-            Err(SimError::Fault(mf)) => {
-                faults.merge(&p.fault_counters());
-                emit_fault_observation(&opts.observer, kind.name(), model, &p, &mf, attempt);
-                recovered = Some(mf.clone());
-                if attempt < opts.policy.max_retries() {
-                    attempt += 1;
-                    continue;
-                }
-                if matches!(opts.policy, RecoveryPolicy::DegradeToScalar { .. }) {
-                    let fallback = RunOptions {
-                        protection: opts.protection,
-                        observer: opts.observer.clone(),
-                        profile: opts.profile,
-                        ..RunOptions::default()
-                    };
-                    let mut run = run_set_op_with(scalar_fallback(model), kind, a, b, &fallback)?;
-                    run.retries = attempt;
-                    run.degraded = true;
-                    run.faults.merge(&faults);
-                    run.recovered_fault = recovered;
-                    return Ok(run);
-                }
-                return Err(SimError::Fault(mf));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+        |fallback| run_set_op_with(scalar_fallback(model), kind, a, b, fallback),
+    )
 }
 
 /// Runs merge-sort on the given processor model.
@@ -536,127 +658,96 @@ pub fn run_sort_with(
             profile: None,
         });
     }
-    let n = padded.len() as u32;
-
-    let exec_model = match model {
-        // Sort always uses the 1-LSU arrangement (see doc comment).
-        ProcModel::Dba2LsuEis { partial } => ProcModel::Dba1LsuEis { partial },
-        ProcModel::Dba2Lsu => ProcModel::Dba1Lsu,
-        m => m,
+    let exec_model = sort_model(model);
+    let layout = sort_layout(model, data.len() as u32)?;
+    let all_params = layout.params();
+    // The scalar kernel has no presort pass, so no block-count parameter.
+    let (params, in_dst) = match exec_model.wiring() {
+        Some(_) => (&all_params[..], hwsort::sort_result_in_dst(layout.n)),
+        None => (&all_params[..3], scalar::sort_result_in_dst(layout.n)),
     };
-    let (src, dst, limit): (u32, u32, u32) = match exec_model {
-        ProcModel::Mini108 => (SYSMEM_BASE, align16(SYSMEM_BASE + 4 * n), u32::MAX),
-        _ => (
-            DMEM0_BASE,
-            align16(DMEM0_BASE + 4 * n),
-            DMEM0_BASE + 64 * 1024,
-        ),
+    let key = ProgKey::Sort {
+        model: exec_model,
+        wide: width_class(params),
     };
-    if align16(dst + 4 * n) > limit {
-        return Err(SimError::BadProgram(format!(
-            "{n} elements do not fit the ping-pong sort buffers in local memory"
-        )));
-    }
-
-    let layout = SortLayout { src, dst, n };
-    let cached = progcache::get_or_assemble(
-        progcache::ProgKey::Sort {
-            model: exec_model,
-            layout,
+    let program = template(key, exec_model, params, || {
+        let (program, _) = match exec_model.wiring() {
+            Some(wiring) => hwsort::merge_sort_program(&wiring, &layout)?,
+            None => scalar::merge_sort_program(layout.src, layout.dst, layout.n)?,
+        };
+        Ok(program)
+    })?;
+    let kernel = Kernel {
+        name: "sort",
+        model,
+        exec_model,
+        program,
+        params,
+        inputs: &[(layout.src, &padded)],
+        elements: data.len() as u64,
+    };
+    run_kernel(
+        &kernel,
+        opts,
+        |p| {
+            let base = if in_dst { layout.dst } else { layout.src };
+            let mut result = p.mem.peek_words(base, layout.n as usize)?;
+            result.truncate(data.len()); // strip sentinel padding
+            Ok(result)
         },
-        || {
-            let (program, in_dst) = match exec_model.wiring() {
-                Some(wiring) => hwsort::merge_sort_program(&wiring, &layout)?,
-                None => scalar::merge_sort_program(src, dst, n)?,
-            };
-            preflight_check(&program, exec_model)?;
-            Ok(progcache::CachedProgram {
-                program: Arc::new(program),
-                in_dst,
-            })
-        },
-    )?;
-    let (program, in_dst) = (cached.program, cached.in_dst);
-    let program_bytes = program.size_bytes();
+        |fallback| run_sort_with(scalar_fallback(model), data, fallback),
+    )
+}
 
-    let mut attempt = 0u32;
-    let mut faults = FaultCounters::default();
-    let mut recovered: Option<MachineFault> = None;
-    loop {
-        let mut p = build_processor_with(exec_model, opts.protection)?;
-        match opts.profile {
-            // Back-compat coupling: an observed run is profiled precisely.
-            ProfileMode::Off if opts.observer.is_enabled() => p.enable_profiling(),
-            mode => p.set_profile_mode(mode),
+/// `SUM(values)` computed on `model` by the hardware-loop reduction
+/// ([`scalar::sum_program`]) over values staged at the start of the
+/// model's data memory. Returns the 32-bit wrapping sum and the simulated
+/// cycles. Only the protection override and the observer of `opts`
+/// apply: the reduction is a single short pass and fails fast.
+pub fn run_sum(
+    model: ProcModel,
+    values: &[u32],
+    opts: &RunOptions,
+) -> Result<(u32, u64), SimError> {
+    let base = if model == ProcModel::Mini108 {
+        SYSMEM_BASE
+    } else {
+        DMEM0_BASE
+    };
+    let params = [base, values.len() as u32];
+    let key = ProgKey::Sum {
+        wide: width_class(&params),
+    };
+    let program = template(key, model, &params, || {
+        scalar::sum_program(base, values.len() as u32)
+    })?;
+    let obs = &opts.observer;
+    with_processor(model, opts.protection, |p| {
+        if obs.is_enabled() {
+            p.enable_profiling();
         }
-        p.load_program_shared(Arc::clone(&program))?;
-        p.mem.poke_words(src, &padded)?;
-        if attempt == 0 {
-            if let Some(plan) = &opts.fault_plan {
-                p.set_fault_plan(plan.clone());
-            }
+        p.load_program_shared(program)?;
+        p.bind_params(&params)?;
+        p.mem.poke_words(base, values)?;
+        let stats = p.run(1_000_000_000)?;
+        if obs.is_enabled() {
+            let snap = p
+                .profile()
+                .zip(p.program())
+                .map(|(pr, prog)| pr.snapshot(prog));
+            emit_kernel_run(
+                obs,
+                "sum",
+                &stats,
+                snap.as_ref(),
+                &[
+                    ("model", ArgValue::from(model.name())),
+                    ("elements", values.len().into()),
+                ],
+            );
         }
-        p.set_watchdog(opts.effective_watchdog());
-        match p.run(MAX_CYCLES) {
-            Ok(stats) => {
-                let mut result = p
-                    .mem
-                    .peek_words(if in_dst { dst } else { src }, n as usize)?;
-                result.truncate(data.len()); // strip sentinel padding
-                faults.merge(&p.fault_counters());
-                let profile = p
-                    .profile()
-                    .zip(p.program())
-                    .map(|(pr, prog)| pr.snapshot(prog));
-                emit_run_observation(
-                    &opts.observer,
-                    "sort",
-                    model,
-                    profile.as_ref(),
-                    &stats,
-                    data.len() as u64,
-                    result.len() as u64,
-                    attempt,
-                );
-                return Ok(KernelRun {
-                    result,
-                    cycles: stats.cycles,
-                    program_bytes,
-                    stats,
-                    retries: attempt,
-                    degraded: false,
-                    faults,
-                    recovered_fault: recovered,
-                    profile,
-                });
-            }
-            Err(SimError::Fault(mf)) => {
-                faults.merge(&p.fault_counters());
-                emit_fault_observation(&opts.observer, "sort", model, &p, &mf, attempt);
-                recovered = Some(mf.clone());
-                if attempt < opts.policy.max_retries() {
-                    attempt += 1;
-                    continue;
-                }
-                if matches!(opts.policy, RecoveryPolicy::DegradeToScalar { .. }) {
-                    let fallback = RunOptions {
-                        protection: opts.protection,
-                        observer: opts.observer.clone(),
-                        profile: opts.profile,
-                        ..RunOptions::default()
-                    };
-                    let mut run = run_sort_with(scalar_fallback(model), data, &fallback)?;
-                    run.retries = attempt;
-                    run.degraded = true;
-                    run.faults.merge(&faults);
-                    run.recovered_fault = recovered;
-                    return Ok(run);
-                }
-                return Err(SimError::Fault(mf));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+        Ok((p.ar[2], stats.cycles))
+    })
 }
 
 #[cfg(test)]
@@ -799,15 +890,17 @@ mod tests {
     #[test]
     fn retries_assemble_the_kernel_once() {
         use dbx_faults::FaultTarget;
-        // Sizes unique to this test so its cache key is untouched by
-        // concurrently running tests.
+        // Every layout of a (model, kernel) shares one template, so the
+        // key is assembled at most once per process, whichever test
+        // running concurrently gets there first.
         let a = evens(257);
         let b = thirds(193);
         let model = ProcModel::Dba2LsuEis { partial: true };
-        let key = progcache::ProgKey::SetOp {
+        let layout = set_layout(model, a.len() as u32, b.len() as u32).unwrap();
+        let key = ProgKey::SetOp {
             model,
             kind: SetOpKind::Intersect,
-            layout: set_layout(model, a.len() as u32, b.len() as u32).unwrap(),
+            wide: width_class(&layout.params()),
         };
         let opts = RunOptions {
             protection: Some(ProtectionKind::Parity),

@@ -10,14 +10,22 @@
 //!
 //! The remaining tests check that observing a run (observer, precise or
 //! sampled profiling), arming a fault plan that never fires, or turning on
-//! local-memory protection changes no result and no cycle it should not.
+//! local-memory protection changes no result and no cycle it should not;
+//! that a runner call on a thread's reused processor is indistinguishable
+//! from the same call on a fresh one; and that a kernel template bound to
+//! a layout runs exactly like the program built for that layout.
 
-use dbx_core::runner::{run_set_op_with, run_sort_with, KernelRun, RunOptions};
+use std::sync::Arc;
+
+use dbx_core::kernels::{hwset, hwsort, scalar, SetLayout, SortLayout};
+use dbx_core::runner::{
+    build_processor, run_set_op_with, run_sort_with, set_layout, sort_layout, sort_model,
+    KernelRun, RecoveryPolicy, RunOptions,
+};
 use dbx_core::{ProcModel, SetOpKind};
-use dbx_cpu::ProfileMode;
+use dbx_cpu::{Processor, ProfileMode, Program, RunStats, SimError};
 use dbx_faults::{FaultPlan, FaultTarget, ProtectionKind};
 use dbx_observe::Observer;
-use dbx_x86ref::scalar;
 
 const SEEDS: [u64; 3] = [11, 1337, 90210];
 
@@ -211,9 +219,9 @@ fn set_ops_match_the_scalar_reference_and_their_pins() {
                 let run = run_set_op_with(model, kind, &a, &b, &RunOptions::default()).unwrap();
                 let key = format!("{model:?} {} {seed}", kind.name());
                 let reference = match kind {
-                    SetOpKind::Intersect => scalar::intersect(&a, &b),
-                    SetOpKind::Union => scalar::union(&a, &b),
-                    SetOpKind::Difference => scalar::difference(&a, &b),
+                    SetOpKind::Intersect => dbx_x86ref::scalar::intersect(&a, &b),
+                    SetOpKind::Union => dbx_x86ref::scalar::union(&a, &b),
+                    SetOpKind::Difference => dbx_x86ref::scalar::difference(&a, &b),
                 };
                 assert_eq!(run.result, reference, "{key}: wrong result");
                 seen.push(assert_pinned(key, &run));
@@ -236,7 +244,7 @@ fn sort_matches_the_scalar_reference_and_its_pins() {
             let run = run_sort_with(model, &data, &RunOptions::default()).unwrap();
             let key = format!("{model:?} sort {seed}");
             let mut reference = data.clone();
-            scalar::merge_sort(&mut reference);
+            dbx_x86ref::scalar::merge_sort(&mut reference);
             assert_eq!(run.result, reference, "{key}: wrong result");
             seen.push(assert_pinned(key, &run));
         }
@@ -409,5 +417,316 @@ fn local_memory_protection_changes_no_result_or_cycle_beyond_ecc_stalls() {
         let mut counters = secded.stats.counters.clone();
         counters.stall_ecc = 0;
         assert_eq!(plain.stats.counters, counters, "{model:?} secded: counters");
+    }
+}
+
+/// The options a [`Call`] runs under. Built inside the running thread:
+/// an observer is not `Send`.
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    Plain,
+    Parity,
+    Secded,
+    Observed,
+    Sampled,
+    /// A parity-trapped bit flip, recovered by one retry, and a second
+    /// flip scheduled after the trap, which must not outlive the attempt.
+    RetryFault,
+    /// A watchdog that trips every accelerated attempt, then a degrade.
+    Degrade,
+    /// A stuck-at bit under SECDED, corrected on every read.
+    StuckAt,
+    /// A flip scheduled after short runs end; it must not outlive them.
+    LatePlan,
+}
+
+const VARIANTS: [Variant; 9] = [
+    Variant::LatePlan,
+    Variant::Plain,
+    Variant::Parity,
+    Variant::Secded,
+    Variant::Observed,
+    Variant::Sampled,
+    Variant::RetryFault,
+    Variant::Degrade,
+    Variant::StuckAt,
+];
+
+fn options(v: Variant) -> RunOptions {
+    let protect = |pk| Some(pk);
+    match v {
+        Variant::Plain => RunOptions::default(),
+        Variant::Parity => RunOptions {
+            protection: protect(ProtectionKind::Parity),
+            ..Default::default()
+        },
+        Variant::Secded => RunOptions {
+            protection: protect(ProtectionKind::Secded),
+            ..Default::default()
+        },
+        Variant::Observed => RunOptions {
+            observer: Observer::memory().0,
+            ..Default::default()
+        },
+        Variant::Sampled => RunOptions {
+            profile: ProfileMode::Sampled { period: 32 },
+            ..Default::default()
+        },
+        Variant::RetryFault => RunOptions {
+            protection: protect(ProtectionKind::Parity),
+            fault_plan: Some(
+                FaultPlan::new()
+                    .with_bit_flip(FaultTarget::Dmem(0), 0, 3, 5)
+                    .with_bit_flip(FaultTarget::Dmem(0), 400, 1, 2),
+            ),
+            policy: RecoveryPolicy::Retry { max_retries: 2 },
+            ..Default::default()
+        },
+        Variant::Degrade => RunOptions {
+            policy: RecoveryPolicy::DegradeToScalar { max_retries: 1 },
+            watchdog: Some(10),
+            ..Default::default()
+        },
+        Variant::StuckAt => RunOptions {
+            protection: protect(ProtectionKind::Secded),
+            fault_plan: Some(FaultPlan::new().with_stuck_at(FaultTarget::Dmem(0), 0, 2, 7, true)),
+            ..Default::default()
+        },
+        Variant::LatePlan => RunOptions {
+            fault_plan: Some(FaultPlan::new().with_bit_flip(FaultTarget::Dmem(0), 3000, 1, 3)),
+            ..Default::default()
+        },
+    }
+}
+
+/// One runner call, described so it can be replayed on another thread.
+#[derive(Debug, Clone)]
+struct Call {
+    model: ProcModel,
+    /// The set operation, or `None` for a sort of `a`.
+    kind: Option<SetOpKind>,
+    a: Vec<u32>,
+    b: Vec<u32>,
+    variant: Variant,
+}
+
+impl Call {
+    fn run(&self) -> Result<KernelRun, dbx_cpu::SimError> {
+        let opts = options(self.variant);
+        match self.kind {
+            Some(kind) => run_set_op_with(self.model, kind, &self.a, &self.b, &opts),
+            None => run_sort_with(self.model, &self.a, &opts),
+        }
+    }
+
+    /// The same call made first on a newly spawned thread, whose
+    /// processor pool is empty.
+    fn run_fresh(&self) -> Result<KernelRun, dbx_cpu::SimError> {
+        let call = self.clone();
+        std::thread::spawn(move || call.run())
+            .join()
+            .expect("fresh-thread run panicked")
+    }
+}
+
+/// The largest `n` (up to `cap`) with `fits(n)`.
+fn largest(cap: u32, fits: impl Fn(u32) -> bool) -> u32 {
+    (0..=cap)
+        .rev()
+        .find(|&n| fits(n))
+        .expect("empty inputs fit")
+}
+
+fn assert_same_run(fresh: &KernelRun, reused: &KernelRun, what: &str) {
+    assert_identical(fresh, reused, what);
+    assert_eq!(fresh.degraded, reused.degraded, "{what}: degraded");
+    assert_eq!(
+        fresh.program_bytes, reused.program_bytes,
+        "{what}: program_bytes"
+    );
+    assert_eq!(
+        fresh.recovered_fault, reused.recovered_fault,
+        "{what}: recovered fault"
+    );
+    assert_eq!(fresh.profile, reused.profile, "{what}: profile");
+}
+
+/// Every model runs every set operation and a sort at their largest,
+/// a small and the empty size, interleaved under rotating protection,
+/// fault, observer and profiling options, all on this thread's pooled
+/// processors. Each run must be indistinguishable from the same call on
+/// a fresh thread.
+#[test]
+fn a_reused_processor_is_indistinguishable_from_a_fresh_one() {
+    let mut calls = Vec::new();
+    let mut rotation = VARIANTS.iter().copied().cycle();
+    for model in ProcModel::all() {
+        // The cached core has no local-store bound; cap it at the size
+        // of the largest local store.
+        let max_set = largest(2048, |n| set_layout(model, n, n).is_ok());
+        let max_sort = largest(2048, |n| sort_layout(model, n).is_ok());
+        for (set_len, sort_len) in [(9, 9), (max_set, max_sort), (0, 0)] {
+            for kind in [
+                Some(SetOpKind::Intersect),
+                Some(SetOpKind::Union),
+                Some(SetOpKind::Difference),
+                None,
+            ] {
+                let (a, b) = match kind {
+                    Some(_) => (
+                        sorted_set(7, 1, set_len as usize),
+                        sorted_set(7, 2, set_len as usize),
+                    ),
+                    None => (unsorted_data(7, sort_len as usize), Vec::new()),
+                };
+                calls.push(Call {
+                    model,
+                    kind,
+                    a,
+                    b,
+                    variant: rotation.next().unwrap(),
+                });
+            }
+        }
+    }
+    let mut outcomes = [0usize; 3]; // plain, retried, degraded
+    for call in &calls {
+        let what = format!(
+            "{:?} {:?} |a|={} {:?}",
+            call.model,
+            call.kind,
+            call.a.len(),
+            call.variant
+        );
+        let fresh = call.run_fresh().unwrap_or_else(|e| panic!("{what}: {e}"));
+        let reused = call.run().unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_same_run(&fresh, &reused, &what);
+        outcomes[usize::from(reused.retries > 0) + usize::from(reused.degraded)] += 1;
+    }
+    assert!(outcomes[1] > 0, "some call recovered by retrying");
+    assert!(outcomes[2] > 0, "some call degraded to the scalar kernel");
+}
+
+/// Runs `program` bound to `params` (or unbound) on a fresh processor
+/// with `inputs` placed; returns the processor and the run's statistics.
+fn run_program(
+    model: ProcModel,
+    program: Arc<Program>,
+    params: Option<&[u32]>,
+    inputs: &[(u32, &[u32])],
+) -> (Processor, RunStats) {
+    let mut p = build_processor(model).unwrap();
+    p.load_program_shared(program).unwrap();
+    if let Some(params) = params {
+        p.bind_params(params).unwrap();
+    }
+    for &(addr, words) in inputs {
+        p.mem.poke_words(addr, words).unwrap();
+    }
+    let stats = p.run(100_000_000).unwrap();
+    (p, stats)
+}
+
+/// For each model and kernel, a template built for one layout and bound
+/// to another runs exactly like the concrete program built for that
+/// layout, and like the runner's own call — results, cycles, counters and
+/// program size — from empty to the largest layout. Binding a value of
+/// another encoded width is refused.
+#[test]
+fn a_bound_template_equals_the_concrete_program() {
+    for model in ProcModel::all() {
+        let max_set = largest(2048, |n| set_layout(model, n, n).is_ok());
+        let build = |kind, layout: &SetLayout| match model.wiring() {
+            Some(w) => hwset::set_op_program(kind, &w, layout, hwset::DEFAULT_UNROLL),
+            None => scalar::set_op_program(kind, layout),
+        };
+        for kind in [
+            SetOpKind::Intersect,
+            SetOpKind::Union,
+            SetOpKind::Difference,
+        ] {
+            let template = Arc::new(build(kind, &set_layout(model, 100, 60).unwrap()).unwrap());
+            for (la, lb) in [(0, 0), (1, 0), (0, 1), (1, 1), (37, 5), (max_set, max_set)] {
+                let what = format!("{model:?} {} {la}+{lb}", kind.name());
+                let a = sorted_set(3, 1, la as usize);
+                let b = sorted_set(3, 2, lb as usize);
+                let layout = set_layout(model, la, lb).unwrap();
+                let inputs = [(layout.a_base, &a[..]), (layout.b_base, &b[..])];
+                let concrete = Arc::new(build(kind, &layout).unwrap());
+                let (mut pb, bound) = run_program(
+                    model,
+                    Arc::clone(&template),
+                    Some(&layout.params()),
+                    &inputs,
+                );
+                let (mut pc, conc) = run_program(model, Arc::clone(&concrete), None, &inputs);
+                assert_eq!(bound, conc, "{what}: RunStats");
+                assert_eq!(template.size_bytes(), concrete.size_bytes(), "{what}");
+                let read = |p: &mut Processor| {
+                    let n = if model.has_eis() {
+                        p.ar[2]
+                    } else {
+                        (p.ar[6] - layout.c_base) / 4
+                    };
+                    p.mem.peek_words(layout.c_base, n as usize).unwrap()
+                };
+                let result = read(&mut pb);
+                assert_eq!(result, read(&mut pc), "{what}: result");
+                let run = run_set_op_with(model, kind, &a, &b, &RunOptions::default()).unwrap();
+                assert_eq!(run.result, result, "{what}: runner result");
+                assert_eq!(run.stats, bound, "{what}: runner RunStats");
+                assert_eq!(run.program_bytes, concrete.size_bytes(), "{what}");
+            }
+            let narrow = [0u32; 5];
+            let mut p = build_processor(model).unwrap();
+            p.load_program_shared(Arc::clone(&template)).unwrap();
+            assert!(matches!(
+                p.bind_params(&narrow),
+                Err(SimError::BadProgram(_))
+            ));
+            assert!(matches!(
+                template.bind(&narrow),
+                Err(SimError::BadProgram(_))
+            ));
+        }
+
+        let exec = sort_model(model);
+        let build = |layout: &SortLayout| match exec.wiring() {
+            Some(w) => hwsort::merge_sort_program(&w, layout),
+            None => scalar::merge_sort_program(layout.src, layout.dst, layout.n),
+        };
+        let (template, _) = build(&sort_layout(model, 100).unwrap()).unwrap();
+        let template = Arc::new(template);
+        // The scalar sort declares three of the four sort parameters.
+        let n_params = template.param_count();
+        let max_sort = largest(2048, |n| sort_layout(model, n).is_ok());
+        for len in [1, 4, 37, max_sort] {
+            let what = format!("{model:?} sort {len}");
+            let data = unsorted_data(5, len as usize);
+            let layout = sort_layout(model, len).unwrap();
+            let mut padded = data.clone();
+            padded.resize(layout.n as usize, u32::MAX);
+            let inputs = [(layout.src, &padded[..])];
+            let params = &layout.params()[..n_params];
+            let (concrete, in_dst) = build(&layout).unwrap();
+            let concrete = Arc::new(concrete);
+            let (mut pb, bound) = run_program(exec, Arc::clone(&template), Some(params), &inputs);
+            let (mut pc, conc) = run_program(exec, Arc::clone(&concrete), None, &inputs);
+            assert_eq!(bound, conc, "{what}: RunStats");
+            assert_eq!(template.size_bytes(), concrete.size_bytes(), "{what}");
+            let base = if in_dst { layout.dst } else { layout.src };
+            let mut result = pb.mem.peek_words(base, len as usize).unwrap();
+            assert_eq!(result, pc.mem.peek_words(base, len as usize).unwrap());
+            let run = run_sort_with(model, &data, &RunOptions::default()).unwrap();
+            assert_eq!(run.result, result, "{what}: runner result");
+            assert_eq!(run.stats, bound, "{what}: runner RunStats");
+            assert_eq!(run.program_bytes, concrete.size_bytes(), "{what}");
+            result.sort_unstable();
+            assert_eq!(run.result, result, "{what}: sorted");
+        }
+        // A byte count that needs the wide encoding would grow the program.
+        let mut wide = sort_layout(model, 100).unwrap().params()[..n_params].to_vec();
+        wide[2] = 1 << 22;
+        assert!(matches!(template.bind(&wide), Err(SimError::BadProgram(_))));
     }
 }

@@ -1,5 +1,9 @@
 //! The memory system: LSUs, local memories, cache, system memory, DMAC.
 //!
+//! Instruction memory is not stored: the simulator fetches from the
+//! loaded [`crate::Program`], and loading only checks that the program
+//! fits the configured `imem_kb`.
+//!
 //! Routes every data access of the core through one of its load–store
 //! units. Each LSU is wired to its own local data memory (paper Figure 6:
 //! "Each of them is equipped with its own local data memory"), enforces the
@@ -9,7 +13,7 @@
 
 use crate::config::CpuConfig;
 use crate::error::SimError;
-use crate::program::{DMEM0_BASE, DMEM1_BASE, IMEM_BASE, SYSMEM_BASE};
+use crate::program::{DMEM0_BASE, DMEM1_BASE, SYSMEM_BASE};
 use crate::stats::EventCounters;
 use dbx_mem::{
     AccessPort, BurstBus, DataCache, Dmac, FaultCounters, LocalMemory, MemError, ProtectionKind,
@@ -19,8 +23,6 @@ use dbx_mem::{
 /// The full memory system of one processor instance.
 #[derive(Debug)]
 pub struct MemorySystem {
-    /// Local instruction memory (program image lives here).
-    pub imem: LocalMemory,
     /// Local data memories, one per LSU (empty when there is no local store).
     pub dmems: Vec<LocalMemory>,
     /// Off-chip system memory.
@@ -61,7 +63,6 @@ impl MemorySystem {
             }
         }
         MemorySystem {
-            imem: LocalMemory::new("imem", IMEM_BASE, cfg.imem_kb * 1024),
             dmems,
             sysmem: SystemMemory::new(),
             dcache: cfg.dcache.map(DataCache::new),
@@ -92,7 +93,24 @@ impl MemorySystem {
         for m in &mut self.dmems {
             m.begin_cycle();
         }
-        self.imem.begin_cycle();
+    }
+
+    /// Returns the memory system to its freshly built state: every local
+    /// memory reset (see [`LocalMemory::reset`]), system memory emptied,
+    /// data cache invalidated and DMAC idle, all with zeroed statistics.
+    pub fn reset(&mut self) {
+        for m in &mut self.dmems {
+            m.reset();
+        }
+        self.sysmem.reset();
+        if let Some(c) = self.dcache.as_mut() {
+            c.reset();
+        }
+        if let Some(d) = self.dmac.as_mut() {
+            d.reset();
+        }
+        self.lsu_used = [0; 2];
+        self.pending_ecc_stall = 0;
     }
 
     /// Advances the prefetcher by one cycle (concurrently with the core).
@@ -182,7 +200,6 @@ impl MemorySystem {
         for m in &self.dmems {
             agg.merge(&m.faults);
         }
-        agg.merge(&self.imem.faults);
         if let Some(d) = &self.dmac {
             agg.detected += d.transfers_failed;
         }

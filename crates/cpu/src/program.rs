@@ -5,8 +5,10 @@
 //! placed it elsewhere in instruction memory with
 //! [`ProgramBuilder::with_base`]. The simulator fetches decoded
 //! instructions directly (a decode cache, in hardware terms); the binary
-//! image produced by [`crate::encode`] is what occupies instruction memory
-//! and what the assembler/disassembler operate on.
+//! image produced by [`crate::encode`] is what would occupy instruction
+//! memory and what the assembler/disassembler operate on. The simulator
+//! does not store it: [`ProgramBuilder::build`] checks once that every
+//! instruction encodes, and loading checks the size against `imem_kb`.
 //!
 //! [`ProgramBuilder::build`] also pre-decodes every instruction once: its
 //! load-use source mask, its fall-through PC, and for extension ops and
@@ -15,13 +17,22 @@
 //! only on machine state, and every processor sharing an `Arc<Program>`
 //! shares the decode.
 //!
+//! A program may be a *template*: [`ProgramBuilder::movi_param`] marks a
+//! `MOVI` as numbered parameter `k` of the program. The instruction stays
+//! an ordinary `MOVI` (same encoding width, op class and cycle cost) whose
+//! own immediate is the parameter's default; a processor substitutes the
+//! value bound with [`crate::Processor::bind_params`] when it executes
+//! it. So one template serves every data layout whose values encode at
+//! the same widths, and [`Program::bind`] makes the concrete program a
+//! binding stands for (for the static verifier and disassembly).
+//!
 //! Every address a program reports — [`Program::addr_of`], labels,
 //! diagnostics from the static analyzer — is an absolute byte PC. The only
 //! `(pc - base) / 4` arithmetic lives here, in the fetch slot table,
 //! parameterized on the [`Program::entry`] value.
 
 use crate::error::SimError;
-use crate::isa::{BranchCond, ExtOp, Instr, LsWidth, OpArgs, Reg};
+use crate::isa::{movi_is_wide, BranchCond, ExtOp, Instr, LsWidth, OpArgs, Reg};
 use std::collections::HashMap;
 
 /// Base address of instruction memory.
@@ -48,6 +59,8 @@ pub(crate) struct Decoded {
     pub fall_through: u32,
     /// The load-use interlock's operand set ([`Instr::src_mask`]).
     pub src_mask: u16,
+    /// For a parameter `MOVI`, its parameter number.
+    pub param: Option<u8>,
     n_ext: u8,
     n_addis: u8,
     ext: [(u16, OpArgs); 3],
@@ -62,6 +75,7 @@ impl Decoded {
         let mut d = Decoded {
             fall_through: pc + instr.size(),
             src_mask: instr.src_mask(),
+            param: None,
             n_ext: 0,
             n_addis: 0,
             ext: [(0, OpArgs::default()); 3],
@@ -125,6 +139,8 @@ pub struct Program {
     size: u32,
     /// Base byte address of the first instruction.
     base: u32,
+    /// Instruction index of each parameter `MOVI`, in parameter order.
+    params: Vec<usize>,
 }
 
 impl Program {
@@ -146,6 +162,55 @@ impl Program {
     /// True when the program has no instructions.
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
+    }
+
+    /// Number of parameters (see [`ProgramBuilder::movi_param`]).
+    pub fn param_count(&self) -> usize {
+        self.params.len()
+    }
+
+    /// Default value of each parameter, in parameter order: the
+    /// immediates of the parameter `MOVI`s.
+    pub fn param_defaults(&self) -> impl Iterator<Item = u32> + '_ {
+        self.params.iter().map(|&ix| match self.code[ix] {
+            Instr::Movi { imm, .. } => imm as u32,
+            _ => unreachable!("parameters are MOVIs"),
+        })
+    }
+
+    /// Checks that `values` bind every parameter, one value each, and
+    /// that each value encodes at the width of the parameter's `MOVI` —
+    /// a binding never resizes a program.
+    pub fn check_binding(&self, values: &[u32]) -> Result<(), SimError> {
+        if values.len() != self.params.len() {
+            return Err(SimError::BadProgram(format!(
+                "program has {} parameters, {} values bound",
+                self.params.len(),
+                values.len()
+            )));
+        }
+        for (k, (default, &v)) in self.param_defaults().zip(values).enumerate() {
+            if movi_is_wide(default as i32) != movi_is_wide(v as i32) {
+                return Err(SimError::BadProgram(format!(
+                    "parameter {k}: value {v:#x} does not encode at the width of {default:#x}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The concrete program this one stands for under `values`: a copy
+    /// whose parameter immediates are the bound values (see
+    /// [`Self::check_binding`] for the rules).
+    pub fn bind(&self, values: &[u32]) -> Result<Program, SimError> {
+        self.check_binding(values)?;
+        let mut bound = self.clone();
+        for (&ix, &v) in self.params.iter().zip(values) {
+            if let Instr::Movi { imm, .. } = &mut bound.code[ix] {
+                *imm = v as i32;
+            }
+        }
+        Ok(bound)
     }
 
     /// Fetches the instruction at `pc`.
@@ -242,6 +307,7 @@ pub struct ProgramBuilder {
     labels: HashMap<String, usize>, // label -> instruction index
     fixups: Vec<Fixup>,
     base: u32,
+    params: Vec<(u8, usize)>, // parameter number -> instruction index
 }
 
 impl Default for ProgramBuilder {
@@ -251,6 +317,7 @@ impl Default for ProgramBuilder {
             labels: HashMap::new(),
             fixups: Vec::new(),
             base: IMEM_BASE,
+            params: Vec::new(),
         }
     }
 }
@@ -330,6 +397,13 @@ impl ProgramBuilder {
     /// `movi r, imm`
     pub fn movi(&mut self, r: Reg, imm: i32) -> &mut Self {
         self.inst(Instr::Movi { r, imm })
+    }
+    /// `movi r, imm` as parameter `param` of the program (see the module
+    /// docs): `imm` is the default, and its width is the width every
+    /// bound value must encode at.
+    pub fn movi_param(&mut self, r: Reg, param: u8, imm: i32) -> &mut Self {
+        self.params.push((param, self.code.len()));
+        self.movi(r, imm)
     }
     /// `mov r, s` (emitted as `or r, s, s` in hardware; one ALU op).
     pub fn mov(&mut self, r: Reg, s: Reg) -> &mut Self {
@@ -519,7 +593,9 @@ impl ProgramBuilder {
         self.inst(Instr::Flix(v.into_boxed_slice()))
     }
 
-    /// Resolves labels, lays out addresses, and validates the program.
+    /// Resolves labels, lays out addresses, and validates the program:
+    /// branch targets, FLIX slots, parameter numbering (dense from 0, one
+    /// `MOVI` each), and that every instruction can be encoded.
     pub fn build(mut self) -> Result<Program, SimError> {
         // Layout pass: assign a byte address to every instruction.
         let mut addrs = Vec::with_capacity(self.code.len());
@@ -608,13 +684,25 @@ impl ProgramBuilder {
             slot_index[((a - self.base) / 4) as usize] = ix as u32;
         }
 
-        let decoded = self
+        let mut decoded: Vec<Decoded> = self
             .code
             .iter()
             .zip(&addrs)
             .map(|(i, &a)| Decoded::new(i, a))
             .collect();
-        Ok(Program {
+        self.params.sort_unstable();
+        for (k, &(param, ix)) in self.params.iter().enumerate() {
+            if usize::from(param) < k {
+                return Err(SimError::BadProgram(format!(
+                    "parameter {param} is defined twice"
+                )));
+            }
+            if usize::from(param) > k {
+                return Err(SimError::BadProgram(format!("parameter {k} is missing")));
+            }
+            decoded[ix].param = Some(param);
+        }
+        let program = Program {
             code: self.code,
             decoded,
             addrs,
@@ -622,7 +710,10 @@ impl ProgramBuilder {
             labels: label_addr,
             size,
             base: self.base,
-        })
+            params: self.params.iter().map(|&(_, ix)| ix).collect(),
+        };
+        crate::encode::encode_program(&program)?;
+        Ok(program)
     }
 }
 

@@ -70,6 +70,9 @@ pub struct Processor {
     /// Cycles elapsed in the current/last run.
     pub cycles: u64,
     program: Option<Arc<Program>>,
+    /// Values of the loaded program's parameters (see
+    /// [`Self::bind_params`]).
+    params: Vec<u32>,
     pending_load: Option<Reg>,
     halted: bool,
     profile: Option<Profile>,
@@ -110,6 +113,7 @@ impl Processor {
             counters: EventCounters::default(),
             cycles: 0,
             program: None,
+            params: Vec::new(),
             pending_load: None,
             halted: false,
             profile: None,
@@ -249,8 +253,8 @@ impl Processor {
         self.program.as_ref()
     }
 
-    /// Loads a program: checks it fits instruction memory, writes the
-    /// binary image into imem, and resets execution state.
+    /// Loads a program: checks it fits instruction memory, binds its
+    /// parameters to their defaults, and resets execution state.
     pub fn load_program(&mut self, p: Program) -> Result<(), SimError> {
         self.load_program_shared(Arc::new(p))
     }
@@ -258,33 +262,68 @@ impl Processor {
     /// Loads an already-shared program without cloning it — the memoized
     /// kernel cache and retrying run drivers hand the same `Arc<Program>`
     /// to many processor instances (or many attempts on one instance).
-    /// Identical to [`Self::load_program`] in every observable way.
+    /// Identical to [`Self::load_program`] in every observable way;
+    /// reloading the program that is already loaded only resets
+    /// registers and parameters.
     pub fn load_program_shared(&mut self, p: Arc<Program>) -> Result<(), SimError> {
-        let image = crate::encode::encode_program(&p)?;
-        // The image occupies [entry, entry + len) of imem; a non-default
-        // base (ProgramBuilder::with_base) shifts the footprint.
-        let offset = p.entry().wrapping_sub(crate::program::IMEM_BASE) as usize;
-        if offset + image.len() > self.mem.imem.size() {
-            return Err(SimError::BadProgram(format!(
-                "program image of {} bytes at {:#010x} exceeds the {} KiB instruction memory",
-                image.len(),
-                p.entry(),
-                self.cfg.imem_kb
-            )));
+        if !self
+            .program
+            .as_ref()
+            .is_some_and(|cur| Arc::ptr_eq(cur, &p))
+        {
+            // The program occupies [entry, entry + size) of imem; a
+            // non-default base (ProgramBuilder::with_base) shifts it.
+            let offset = u64::from(p.entry().wrapping_sub(crate::program::IMEM_BASE));
+            if offset + u64::from(p.size_bytes()) > self.cfg.imem_kb as u64 * 1024 {
+                return Err(SimError::BadProgram(format!(
+                    "program image of {} bytes at {:#010x} exceeds the {} KiB instruction memory",
+                    p.size_bytes(),
+                    p.entry(),
+                    self.cfg.imem_kb
+                )));
+            }
+            self.program = Some(p);
         }
-        for (i, chunk) in image.chunks(4).enumerate() {
-            let mut w = [0u8; 4];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.mem.imem.write_unmetered(
-                p.entry() + 4 * i as u32,
-                Width::W32,
-                u32::from_le_bytes(w) as u128,
-            )?;
-        }
-        self.pc = p.entry();
-        self.program = Some(p);
+        let program = self.program.as_deref().expect("loaded above");
+        self.params.clear();
+        self.params.extend(program.param_defaults());
         self.reset_run_state();
         Ok(())
+    }
+
+    /// Binds the loaded program's parameters (see
+    /// [`ProgramBuilder::movi_param`](crate::ProgramBuilder::movi_param))
+    /// to `values`, one per parameter in order, until the next load. A
+    /// value that would not encode at its `MOVI`'s width is a
+    /// [`SimError::BadProgram`]: binding never resizes a program.
+    pub fn bind_params(&mut self, values: &[u32]) -> Result<(), SimError> {
+        let program = self
+            .program
+            .as_deref()
+            .ok_or_else(|| SimError::BadProgram("no program loaded".to_string()))?;
+        program.check_binding(values)?;
+        self.params.copy_from_slice(values);
+        Ok(())
+    }
+
+    /// Returns the processor to the state [`Self::new`] (plus the attached
+    /// extension) built it in, keeping only the loaded program, so a run
+    /// driver can reuse one instance for many runs. Resets registers,
+    /// extension state, predictor; switches profiling and tracing off;
+    /// drops the fault plan, watchdog and TIE queues; and resets the
+    /// memory system (see [`MemorySystem::reset`]): local-memory bytes
+    /// written since the last reset, check bits, taint, stuck-at faults,
+    /// fault and access counters, DMAC, system memory and data cache.
+    pub fn reset(&mut self) {
+        self.set_profile_mode(ProfileMode::Off);
+        self.next_sample = 0;
+        self.last_sample = 0;
+        self.trace = None;
+        self.queues.clear();
+        self.fault_plan = None;
+        self.watchdog = None;
+        self.mem.reset();
+        self.reset_run_state();
     }
 
     /// Resets registers, counters, extension state and PC (keeps memory
@@ -317,6 +356,14 @@ impl Processor {
             *t = Trace::new(t.capacity());
         }
         self.predictor = Predictor::new(self.cfg.predictor);
+    }
+
+    /// The bound value of parameter `k`, kept out of line: only kernel
+    /// init blocks execute parameter `MOVI`s.
+    #[cold]
+    #[inline(never)]
+    fn param(&self, k: u8) -> u32 {
+        self.params[usize::from(k)]
     }
 
     #[inline]
@@ -473,7 +520,13 @@ impl Processor {
         match instr {
             Instr::Nop => {}
             Instr::Halt => *halted = true,
-            Instr::Movi { r, imm } => alu!(*r, *imm as u32),
+            Instr::Movi { r, imm } => {
+                let v = match dec.param {
+                    None => *imm as u32,
+                    Some(k) => self.param(k),
+                };
+                alu!(*r, v)
+            }
             Instr::Add { r, s, t } => alu!(*r, self.ar_rd(*s).wrapping_add(self.ar_rd(*t))),
             Instr::Addx4 { r, s, t } => {
                 alu!(*r, (self.ar_rd(*s) << 2).wrapping_add(self.ar_rd(*t)))
@@ -781,6 +834,7 @@ mod tests {
     use crate::ext::AccumulatorExt;
     use crate::isa::regs::*;
     use crate::program::{ProgramBuilder, DMEM0_BASE, SYSMEM_BASE};
+    use dbx_faults::ProtectionKind;
 
     fn dba() -> Processor {
         Processor::new(CpuConfig::local_store_core(1, 64)).unwrap()
@@ -1182,6 +1236,121 @@ mod tests {
         p.reset_run_state();
         let s2 = p.run(100).unwrap();
         assert_eq!(s1.cycles, s2.cycles);
+    }
+
+    /// `a2 = param 0`, `a3 = param 1`, store `a3` at `a2`.
+    fn param_program(addr: u32, value: i32) -> crate::program::Program {
+        let mut b = ProgramBuilder::new();
+        b.movi_param(A2, 0, addr as i32);
+        b.movi_param(A3, 1, value);
+        b.s32i(A3, A2, 0);
+        b.halt();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bound_parameters_run_like_the_concrete_program() {
+        let template = Arc::new(param_program(DMEM0_BASE, 5));
+        let concrete = param_program(DMEM0_BASE + 64, 9);
+        let mut bound = dba();
+        bound.load_program_shared(Arc::clone(&template)).unwrap();
+        bound.bind_params(&[DMEM0_BASE + 64, 9]).unwrap();
+        let b = bound.run(100).unwrap();
+        let mut fresh = dba();
+        fresh.load_program(concrete).unwrap();
+        let f = fresh.run(100).unwrap();
+        assert_eq!(b, f);
+        assert_eq!(bound.ar, fresh.ar);
+        assert_eq!(bound.mem.peek_words(DMEM0_BASE + 64, 1).unwrap(), vec![9]);
+        // `bind` makes the concrete program: it runs as built.
+        let rebound = template.bind(&[DMEM0_BASE + 64, 9]).unwrap();
+        assert_eq!(rebound.size_bytes(), template.size_bytes());
+        let mut p = dba();
+        p.load_program(rebound).unwrap();
+        assert_eq!(p.run(100).unwrap(), f);
+        assert_eq!(p.mem.peek_words(DMEM0_BASE + 64, 1).unwrap(), vec![9]);
+        // Reloading the same program restores the defaults.
+        bound.load_program_shared(template).unwrap();
+        bound.run(100).unwrap();
+        assert_eq!(bound.mem.peek_words(DMEM0_BASE, 1).unwrap(), vec![5]);
+    }
+
+    #[test]
+    fn a_binding_that_would_resize_the_program_is_rejected() {
+        let template = param_program(DMEM0_BASE, 5);
+        let mut p = dba();
+        p.load_program(template.clone()).unwrap();
+        for values in [&[1u32, 5][..], &[DMEM0_BASE, 1 << 30], &[DMEM0_BASE]] {
+            assert!(matches!(
+                p.bind_params(values),
+                Err(SimError::BadProgram(_))
+            ));
+            assert!(matches!(
+                template.bind(values),
+                Err(SimError::BadProgram(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn parameters_must_be_numbered_densely_and_once() {
+        let mut b = ProgramBuilder::new();
+        b.movi_param(A2, 1, 0);
+        b.halt();
+        assert!(matches!(b.build(), Err(SimError::BadProgram(_))));
+        let mut b = ProgramBuilder::new();
+        b.movi_param(A2, 0, 0);
+        b.movi_param(A3, 0, 0);
+        b.halt();
+        assert!(matches!(b.build(), Err(SimError::BadProgram(_))));
+    }
+
+    #[test]
+    fn reset_returns_to_the_freshly_built_state() {
+        // Spins ~60 cycles, then copies word 0 incremented to word 1.
+        let mut b = ProgramBuilder::new();
+        b.movi(A4, 30);
+        b.label("spin");
+        b.addi(A4, A4, -1);
+        b.bnez(A4, "spin");
+        b.movi(A2, DMEM0_BASE as i32);
+        b.l32i(A3, A2, 0);
+        b.addi(A3, A3, 1);
+        b.s32i(A3, A2, 4);
+        b.halt();
+        let program = b.build().unwrap();
+        let run = |p: &mut Processor| {
+            p.load_program(program.clone()).unwrap();
+            p.mem.poke_words(DMEM0_BASE, &[41]).unwrap();
+            let stats = p.run(1000).unwrap();
+            (
+                stats,
+                p.mem.peek_words(DMEM0_BASE, 4).unwrap(),
+                p.fault_counters(),
+            )
+        };
+        let mut cfg = CpuConfig::local_store_core(1, 64);
+        cfg.dmem_protection = ProtectionKind::Secded;
+        let mut used = Processor::new(cfg.clone()).unwrap();
+        used.enable_profiling();
+        used.enable_tracing(8);
+        used.set_watchdog(Some(3));
+        // A stuck bit now, and a flip that is still pending at the reset.
+        used.set_fault_plan(
+            FaultPlan::new()
+                .with_stuck_at(FaultTarget::Dmem(0), 0, 2, 9, true)
+                .with_bit_flip(FaultTarget::Dmem(0), 20, 0, 4),
+        );
+        used.mem.poke_words(DMEM0_BASE + 256, &[1, 2, 3]).unwrap();
+        assert!(used.run(100).is_err(), "the watchdog trips");
+        used.reset();
+        assert_eq!(used.profile_mode(), ProfileMode::Off);
+        assert!(used.trace().is_none());
+        assert_eq!(
+            used.mem.peek_words(DMEM0_BASE + 256, 3).unwrap(),
+            vec![0; 3]
+        );
+        assert_eq!(run(&mut used), run(&mut Processor::new(cfg).unwrap()));
     }
 
     /// Loads dmem word 0, stores it back incremented at word 1.

@@ -174,6 +174,13 @@ impl DataCache {
             *l = Line::default();
         }
     }
+
+    /// Returns the cache to its freshly built state: all lines invalid,
+    /// zeroed statistics.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.stats = CacheStats::default();
+    }
 }
 
 #[cfg(test)]

@@ -53,6 +53,9 @@ pub struct LocalMemory {
     stuck: Vec<(usize, u8, bool)>,
     /// Resilience accounting: injected/corrected/detected/escaped.
     pub faults: FaultCounters,
+    /// Byte range `[lo, hi)` written since construction or the last
+    /// [`Self::reset`]; empty while `lo >= hi`.
+    dirty: (usize, usize),
 }
 
 impl LocalMemory {
@@ -84,7 +87,39 @@ impl LocalMemory {
             tainted: BTreeSet::new(),
             stuck: Vec::new(),
             faults: FaultCounters::default(),
+            dirty: (usize::MAX, 0),
         }
+    }
+
+    /// Returns the memory to its freshly built state, keeping its
+    /// protection scheme: zeroes every byte written since the last reset
+    /// (and restores their check bits), forgets taint and stuck-at faults,
+    /// and clears the port budgets, access and fault counters. Costs the
+    /// written span, not the array size.
+    pub fn reset(&mut self) {
+        let (lo, hi) = std::mem::replace(&mut self.dirty, (usize::MAX, 0));
+        if lo < hi {
+            self.data[lo..hi].fill(0);
+            if !self.codes.is_empty() {
+                let zero = self.encode(0);
+                self.codes[lo / 4..hi.div_ceil(4)].fill(zero);
+            }
+        }
+        self.core_accesses_this_cycle = 0;
+        self.pf_accesses_this_cycle = 0;
+        self.core_accesses = 0;
+        self.pf_accesses = 0;
+        self.bytes_moved = 0;
+        self.tainted.clear();
+        self.stuck.clear();
+        self.faults = FaultCounters::default();
+    }
+
+    /// Widens the written range to cover `[off, off + len)`.
+    #[inline]
+    fn mark_dirty(&mut self, off: usize, len: usize) {
+        self.dirty.0 = self.dirty.0.min(off);
+        self.dirty.1 = self.dirty.1.max(off + len);
     }
 
     /// Name of this memory (used in error messages and reports).
@@ -160,6 +195,7 @@ impl LocalMemory {
 
     fn put_word(&mut self, ix: usize, w: u32) {
         let off = ix * 4;
+        self.mark_dirty(off, 4);
         for i in 0..4.min(self.data.len() - off) {
             self.data[off + i] = (w >> (8 * i)) as u8;
         }
@@ -386,6 +422,7 @@ impl LocalMemory {
             self.data[off + i] = (v & 0xff) as u8;
             v >>= 8;
         }
+        self.mark_dirty(off, len);
         self.recode(off, len);
         self.bytes_moved += len as u64;
         Ok(())
@@ -425,6 +462,7 @@ impl LocalMemory {
                 let o = off + 4 * i;
                 self.data[o..o + 4].copy_from_slice(&v.to_le_bytes());
             }
+            self.mark_dirty(off, len);
             self.recode(off, len);
             self.bytes_moved += len as u64;
             return Ok(beats);
@@ -494,6 +532,21 @@ impl LocalMemory {
 
     /// Copies a `u32` slice into memory starting at `addr` (setup helper).
     pub fn load_words(&mut self, addr: u32, words: &[u32]) -> Result<(), MemError> {
+        let len = 4 * words.len();
+        if addr.is_multiple_of(4) && self.contains(addr, len) {
+            // Whole span in bounds: one copy and one recode, with the
+            // same protection accounting as the per-word writes below.
+            let off = (addr - self.base) as usize;
+            for (dst, w) in self.data[off..off + len].chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+            if len > 0 {
+                self.mark_dirty(off, len);
+                self.recode(off, len);
+            }
+            self.bytes_moved += len as u64;
+            return Ok(());
+        }
         for (i, w) in words.iter().enumerate() {
             self.write_unmetered(addr + 4 * i as u32, Width::W32, *w as u128)?;
         }
@@ -502,6 +555,17 @@ impl LocalMemory {
 
     /// Reads `n` consecutive `u32`s starting at `addr` (inspection helper).
     pub fn read_words(&mut self, addr: u32, n: usize) -> Result<Vec<u32>, MemError> {
+        let len = 4 * n;
+        let clean = self.protection == ProtectionKind::None && self.tainted.is_empty();
+        if clean && addr.is_multiple_of(4) && self.contains(addr, len) {
+            // Nothing to verify: one contiguous copy.
+            let off = (addr - self.base) as usize;
+            self.bytes_moved += len as u64;
+            return Ok(self.data[off..off + len]
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                .collect());
+        }
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(self.read_unmetered(addr + 4 * i as u32, Width::W32)? as u32);
@@ -514,6 +578,7 @@ impl LocalMemory {
         for b in &mut self.data {
             *b = byte;
         }
+        self.mark_dirty(0, self.data.len());
         if self.protection != ProtectionKind::None || !self.stuck.is_empty() {
             self.recode(0, self.data.len());
         }
@@ -527,6 +592,58 @@ mod tests {
 
     fn mem() -> LocalMemory {
         LocalMemory::new("dmem0", 0x6000_0000, 1024)
+    }
+
+    #[test]
+    fn bulk_word_copies_match_per_word_accesses() {
+        for kind in [ProtectionKind::None, ProtectionKind::Parity] {
+            let mut m = mem();
+            m.set_protection(kind);
+            m.inject_bit_flip(2, 1); // overwritten in full: no escape
+            m.load_words(0x6000_0000, &[1, 2, 3, 4, 5]).unwrap();
+            assert_eq!(m.tainted_words(), 0, "{kind:?}");
+            assert_eq!(m.faults.escaped, 0, "{kind:?}");
+            assert_eq!(m.read_words(0x6000_0000, 5).unwrap(), vec![1, 2, 3, 4, 5]);
+            for w in 0..5 {
+                let v = m.read_unmetered(0x6000_0000 + 4 * w, Width::W32).unwrap();
+                assert_eq!(v, u128::from(w + 1), "{kind:?}");
+            }
+            assert!(
+                m.load_words(0x6000_03fc, &[1, 2]).is_err(),
+                "overruns the end"
+            );
+            assert!(m.read_words(0x6000_03fc, 2).is_err(), "overruns the end");
+        }
+    }
+
+    #[test]
+    fn reset_restores_the_freshly_built_state() {
+        for kind in [
+            ProtectionKind::None,
+            ProtectionKind::Parity,
+            ProtectionKind::Secded,
+        ] {
+            let fresh = {
+                let mut m = mem();
+                m.set_protection(kind);
+                m
+            };
+            let mut m = fresh.clone();
+            m.write_unmetered(0x6000_0100, Width::W128, u128::MAX)
+                .unwrap();
+            m.write_lanes(AccessPort::Core, 0x6000_0200, &[7, 8, 9])
+                .unwrap();
+            m.inject_bit_flip(3, 5);
+            m.inject_stuck_at(70, 1, true);
+            let _ = m.read_unmetered(0x6000_000c, Width::W32);
+            m.reset();
+            assert_eq!(m.data, fresh.data, "{kind:?}: data");
+            assert_eq!(m.codes, fresh.codes, "{kind:?}: check bits");
+            assert!(m.tainted.is_empty() && m.stuck.is_empty(), "{kind:?}");
+            assert_eq!(m.faults, FaultCounters::default(), "{kind:?}");
+            assert_eq!((m.core_accesses, m.bytes_moved), (0, 0), "{kind:?}");
+            assert!(m.dirty.0 >= m.dirty.1, "{kind:?}: nothing left dirty");
+        }
     }
 
     #[test]

@@ -217,6 +217,12 @@ impl Dmac {
         }
     }
 
+    /// Returns the DMAC to its freshly built state on the same bus: idle,
+    /// no program, cleared flags, statistics and pending fault injection.
+    pub fn reset(&mut self) {
+        *self = Dmac::new(self.bus);
+    }
+
     /// Fault injection: the next burst the DMAC would move (of the active
     /// or next transfer) is silently skipped — modelling a lost bus grant.
     /// The affected transfer raises [`MemError::TransferFault`] when it

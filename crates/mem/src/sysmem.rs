@@ -92,6 +92,12 @@ impl SystemMemory {
         Ok(out)
     }
 
+    /// Returns the memory to its freshly built state: no resident pages,
+    /// zeroed statistics.
+    pub fn reset(&mut self) {
+        *self = Self::default();
+    }
+
     /// Number of pages currently allocated (test/inspection helper).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()

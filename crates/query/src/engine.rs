@@ -4,11 +4,9 @@ use crate::error::QueryError;
 use crate::index::Table;
 use crate::predicate::Predicate;
 use dbx_core::multicore::run_partition_with;
-use dbx_core::runner::build_processor_with;
+use dbx_core::runner::run_sum;
 use dbx_core::sched::{run_indexed, HostSched};
 use dbx_core::{run_sort_with, ProcModel, RunOptions, SetOpKind};
-use dbx_cpu::isa::regs::{A2, A3, A4, A5};
-use dbx_cpu::{emit_kernel_run, ProgramBuilder, DMEM0_BASE, SYSMEM_BASE};
 use dbx_faults::{FaultCounters, FaultPlan};
 use dbx_observe::{ArgValue, Observer, TrackId};
 
@@ -375,12 +373,6 @@ impl QueryEngine {
         if projected.is_empty() {
             return Ok((0, 0));
         }
-        let mut p = build_processor_with(self.model, self.options.protection)?;
-        let base = if self.model == ProcModel::Mini108 {
-            SYSMEM_BASE
-        } else {
-            DMEM0_BASE
-        };
         let cap = match self.model {
             ProcModel::Mini108 => usize::MAX,
             ProcModel::Dba2Lsu | ProcModel::Dba2LsuEis { .. } => 32 * 1024 / 4,
@@ -392,41 +384,7 @@ impl QueryEngine {
                 cap,
             });
         }
-        // a2 = sum, a3 = ptr, a4 = count, a5 = value.
-        let mut b = ProgramBuilder::new();
-        b.movi(A2, 0);
-        b.movi(A3, base as i32);
-        b.movi(A4, projected.len() as i32);
-        b.hw_loop(A4, "done");
-        b.l32i(A5, A3, 0);
-        b.add(A2, A2, A5);
-        b.addi(A3, A3, 4);
-        b.label("done");
-        b.halt();
-        p.load_program(b.build()?)?;
-        p.mem.poke_words(base, &projected)?;
-        let obs = &self.options.observer;
-        if obs.is_enabled() {
-            p.enable_profiling();
-        }
-        let stats = p.run(1_000_000_000)?;
-        if obs.is_enabled() {
-            let snap = p
-                .profile()
-                .zip(p.program())
-                .map(|(pr, prog)| pr.snapshot(prog));
-            emit_kernel_run(
-                obs,
-                "sum",
-                &stats,
-                snap.as_ref(),
-                &[
-                    ("model", ArgValue::from(self.model.name())),
-                    ("elements", projected.len().into()),
-                ],
-            );
-        }
-        Ok((p.ar[2], stats.cycles))
+        Ok(run_sum(self.model, &projected, &self.options)?)
     }
 
     /// `ORDER BY column` over a RID list: projects the column and sorts

@@ -2,9 +2,10 @@
 //!
 //! Two modes:
 //!
-//! * `dbx-lint --kernels` lints every built-in kernel (set operations and
-//!   merge sort, scalar and EIS variants) as instantiated for each
-//!   processor model of the paper.
+//! * `dbx-lint --kernels` lints every built-in kernel template (set
+//!   operations and merge sort, scalar and EIS variants) of each processor
+//!   model of the paper, bound to the runner's data layouts at 0, 1 and
+//!   256 elements and at the largest size that fits local memory.
 //! * `dbx-lint [--model NAME] file.s ...` assembles each file with the
 //!   model's extension mnemonics available and lints the result.
 //!
@@ -21,11 +22,12 @@ use std::process::ExitCode;
 use dbasip::analysis::{analyze, sarif, Diagnostic, Severity};
 use dbasip::asm::Assembler;
 use dbasip::cpu::ext::Extension;
-use dbasip::cpu::{Program, DMEM0_BASE, DMEM1_BASE, SYSMEM_BASE};
+use dbasip::cpu::{Program, SimError};
 use dbasip::dbisa::configs::ProcModel;
 use dbasip::dbisa::datapath::SetOpKind;
-use dbasip::dbisa::kernels::{hwset, hwsort, scalar, SetLayout, SortLayout};
+use dbasip::dbisa::kernels::{hwset, hwsort, scalar};
 use dbasip::dbisa::ops::DbExtension;
+use dbasip::dbisa::runner::{set_layout, sort_layout, sort_model};
 use dbasip::observe::json::Json;
 
 /// Report shape selected with `--format`.
@@ -175,24 +177,61 @@ fn to_json(units: &Units) -> Json {
     ])
 }
 
-/// Mirrors the runner's per-model data placement for a representative
-/// problem size, so kernels are linted exactly as they execute.
-fn sample_set_layout(model: ProcModel) -> SetLayout {
-    let n = 256u32;
-    let (a, b) = match model {
-        ProcModel::Mini108 => (SYSMEM_BASE, SYSMEM_BASE + 4 * n),
-        ProcModel::Dba2LsuEis { .. } => (DMEM0_BASE, DMEM1_BASE),
-        _ => (DMEM0_BASE, DMEM0_BASE + 4 * n),
-    };
-    SetLayout {
-        a_base: a,
-        a_len: n,
-        b_base: b,
-        b_len: n,
-        c_base: b + 4 * n,
+/// Element counts each kernel template is bound at before linting: empty,
+/// one, a representative 256, and the largest count `fits` accepts (up to
+/// 65536 for the cached core, whose data lives in system memory).
+fn lint_sizes(fits: impl Fn(u32) -> bool) -> Vec<u32> {
+    let (mut lo, mut hi) = (0u32, 1 << 16);
+    while lo < hi {
+        let mid = hi - (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
     }
+    let mut sizes = vec![0, 1, 256, lo];
+    sizes.retain(|&n| fits(n));
+    sizes.sort_unstable();
+    sizes.dedup();
+    sizes
 }
 
+/// Lints `template` bound to each `(n, layout parameters)` — the prefix
+/// the template declares (the scalar sort takes three of the four sort
+/// parameters); a binding the template rejects counts as a build error.
+fn lint_bound(
+    label: &str,
+    template: Result<Program, SimError>,
+    bindings: Vec<(u32, Vec<u32>)>,
+    model: ProcModel,
+    units: &mut Units,
+) -> usize {
+    let template = match template {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{label}: failed to build: {e}");
+            return 1;
+        }
+    };
+    let mut build_errors = 0;
+    for (n, params) in bindings {
+        let label = format!("{label} n={n}");
+        let declared = template.param_count().min(params.len());
+        match template.bind(&params[..declared]) {
+            Ok(p) => lint(&label, &p, model, units),
+            Err(e) => {
+                eprintln!("{label}: failed to bind: {e}");
+                build_errors += 1;
+            }
+        }
+    }
+    build_errors
+}
+
+/// Lints every built-in kernel template of each synthesis model, bound
+/// to the runner's own layouts ([`set_layout`], [`sort_layout`]) at the
+/// sizes of [`lint_sizes`], so kernels are linted exactly as they execute.
 fn lint_kernels(units: &mut Units) -> usize {
     let mut build_errors = 0;
     let kinds = [
@@ -201,49 +240,34 @@ fn lint_kernels(units: &mut Units) -> usize {
         SetOpKind::Difference,
     ];
     for model in ProcModel::synthesis_models() {
-        let layout = sample_set_layout(model);
+        let set_sizes = lint_sizes(|n| set_layout(model, n, n).is_ok());
+        let bindings: Vec<(u32, Vec<u32>)> = set_sizes
+            .iter()
+            .map(|&n| (n, set_layout(model, n, n).unwrap().params().to_vec()))
+            .collect();
+        let sample = set_layout(model, 256, 256).expect("256-element sets fit every model");
         for kind in kinds {
-            let program = match model.wiring() {
-                Some(w) => hwset::set_op_program(kind, &w, &layout, hwset::DEFAULT_UNROLL),
-                None => scalar::set_op_program(kind, &layout),
+            let template = match model.wiring() {
+                Some(w) => hwset::set_op_program(kind, &w, &sample, hwset::DEFAULT_UNROLL),
+                None => scalar::set_op_program(kind, &sample),
             };
             let label = format!("{} {:?} [{}]", model.name(), kind, model.partial_label());
-            match program {
-                Ok(p) => lint(&label, &p, model, units),
-                Err(e) => {
-                    eprintln!("{label}: failed to build: {e}");
-                    build_errors += 1;
-                }
-            }
+            build_errors += lint_bound(&label, template, bindings.clone(), model, units);
         }
-        // Sort always runs on the 1-LSU arrangement (see runner::run_sort).
-        let sort_model = match model {
-            ProcModel::Dba2LsuEis { partial } => ProcModel::Dba1LsuEis { partial },
-            ProcModel::Dba2Lsu => ProcModel::Dba1Lsu,
-            m => m,
-        };
-        let src = match sort_model {
-            ProcModel::Mini108 => SYSMEM_BASE,
-            _ => DMEM0_BASE,
-        };
-        let n = 256u32;
-        let sort_layout = SortLayout {
-            src,
-            dst: src + 4 * n,
-            n,
-        };
-        let program = match sort_model.wiring() {
-            Some(w) => hwsort::merge_sort_program(&w, &sort_layout).map(|(p, _)| p),
-            None => scalar::merge_sort_program(src, src + 4 * n, n).map(|(p, _)| p),
+        let sort_model = sort_model(model);
+        // An empty sort runs no kernel; one element pads to four.
+        let bindings = lint_sizes(|n| sort_layout(model, n).is_ok())
+            .into_iter()
+            .filter(|&n| n > 0)
+            .map(|n| (n, sort_layout(model, n).unwrap().params().to_vec()))
+            .collect();
+        let sample = sort_layout(model, 256).expect("256 elements sort on every model");
+        let template = match sort_model.wiring() {
+            Some(w) => hwsort::merge_sort_program(&w, &sample).map(|(p, _)| p),
+            None => scalar::merge_sort_program(sample.src, sample.dst, sample.n).map(|(p, _)| p),
         };
         let label = format!("{} sort [{}]", model.name(), model.partial_label());
-        match program {
-            Ok(p) => lint(&label, &p, sort_model, units),
-            Err(e) => {
-                eprintln!("{label}: failed to build: {e}");
-                build_errors += 1;
-            }
-        }
+        build_errors += lint_bound(&label, template, bindings, sort_model, units);
     }
     build_errors
 }
