@@ -14,6 +14,8 @@
 //! with a validity count; set inputs must be strictly increasing within
 //! each window (RID sets are duplicate-free).
 
+use crate::states::{Lanes, Window, SENTINEL};
+
 /// The sorted-set operation selected by a `SOP` instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetOpKind {
@@ -53,36 +55,21 @@ pub const SORT4_COMPARATORS: usize = 5;
 /// Comparators in the 8-element bitonic merge network (3 stages x 4).
 pub const MERGE8_COMPARATORS: usize = 12;
 
-/// Result of the 4x4 all-to-all comparison: equality and less-than
-/// matrices as bitmasks. Bit `i*4 + j` relates `a[i]` to `b[j]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompareMatrix {
-    /// Equality bits.
-    pub eq: u16,
-    /// `a[i] < b[j]` bits.
-    pub lt: u16,
-}
-
-/// Performs the all-to-all comparison of two 4-element windows.
-/// Invalid lanes (index >= count) must be pre-filled with the sentinel by
-/// the caller; the matrix covers all 16 pairs regardless.
-#[allow(clippy::needless_range_loop)] // index form mirrors the comparator grid
+/// The equality half of the 4x4 all-to-all comparator array: bit `i` set
+/// when `a[i]` equals a lane of `b` selected by `valid_b`. Written on
+/// per-lane all-ones/zero masks, which lets the compiler turn the sixteen
+/// comparisons into four vector compares.
 #[inline]
-pub fn all_to_all(a: &[u32; 4], b: &[u32; 4]) -> CompareMatrix {
-    let mut eq = 0u16;
-    let mut lt = 0u16;
-    for i in 0..4 {
-        for j in 0..4 {
-            let bit = 1u16 << (i * 4 + j);
-            if a[i] == b[j] {
-                eq |= bit;
-            }
-            if a[i] < b[j] {
-                lt |= bit;
-            }
+fn all_to_all_eq(a: &[u32; 4], b: &[u32; 4], valid_b: u8) -> u8 {
+    let ones = |hit: bool| 0u32.wrapping_sub(u32::from(hit));
+    let mut row = [0u32; 4];
+    for (j, &y) in b.iter().enumerate() {
+        let valid = ones(valid_b >> j & 1 != 0);
+        for (r, &x) in row.iter_mut().zip(a) {
+            *r |= ones(x == y) & valid;
         }
     }
-    CompareMatrix { eq, lt }
+    lane_mask(|i| row[i] != 0)
 }
 
 /// Sorts four values with the optimal 5-comparator sorting network
@@ -213,8 +200,8 @@ pub fn bitonic_merge_comparators(w: usize) -> usize {
     stages * w
 }
 
-/// Width-generalised retire/emit outcome (see [`SopOutcome`] for the
-/// 4-wide instruction's fixed-size form).
+/// Width-generalised retire/emit outcome (see [`SopStep`] for the
+/// 4-wide instruction's fixed-width form).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SopOutcomeN {
     /// Elements retired from window A.
@@ -341,195 +328,131 @@ pub fn sop_set_n(
     }
 }
 
-/// Window retire/emit decision for one `SOP` execution on sorted-set
-/// windows. All inputs/outputs are in terms of front-aligned windows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SopOutcome {
+/// Retire/emit decision of one 4-wide sorted-set `SOP` step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SopStep {
     /// Elements retired (consumed) from window A.
     pub consume_a: usize,
     /// Elements retired from window B.
     pub consume_b: usize,
     /// Values emitted to the Result states, in sorted order (<= 8).
-    pub emit: Vec<u32>,
-    /// Updated emitted flags for the *unretired* suffix of window A, still
-    /// indexed by the pre-shift window positions.
-    pub emitted_a: [bool; 4],
+    pub emit: Lanes<8>,
+    /// Updated emitted flags of window A (bit per lane), still indexed by
+    /// the pre-shift window positions; retired lanes keep their flags and
+    /// `LD_P` discards them on shift.
+    pub emitted_a: u8,
     /// Same for window B.
-    pub emitted_b: [bool; 4],
+    pub emitted_b: u8,
 }
 
-/// Evaluates one sorted-set `SOP` over two windows.
+/// Bit `i` set when `f(i)` holds, for the four lanes of a window.
+#[inline]
+fn lane_mask(f: impl Fn(usize) -> bool) -> u8 {
+    (0..4).fold(0, |m, i| m | (u8::from(f(i)) << i))
+}
+
+/// The lanes of `w` selected by `m`, front-aligned in lane order: every
+/// lane is written (a rejected one as the sentinel) and the write position
+/// advances past the selected ones, so no branch depends on the data.
+#[inline]
+fn compact(w: &[u32; 4], m: u8) -> Lanes<8> {
+    let mut out = Lanes::<8>::default();
+    for (i, &v) in w.iter().enumerate() {
+        let sel = m >> i & 1 != 0;
+        out.vals[out.cnt] = if sel { v } else { SENTINEL };
+        out.cnt += usize::from(sel);
+    }
+    out
+}
+
+/// Evaluates one sorted-set `SOP` over two Word windows — the
+/// instruction's datapath, on bitmasks.
 ///
-/// * `wa`, `va`: window A values (front-aligned) and its valid count;
-///   lanes `>= va` are ignored. Values must be strictly increasing.
-/// * `emitted_a` marks A lanes already emitted by a previous `SOP` in
-///   full-window-retirement mode.
+/// * A window's lanes `>= cnt` are ignored (masked off), and its
+///   `emitted` bits mark lanes already emitted by a previous `SOP` in
+///   full-window-retirement mode. Valid values must be strictly
+///   increasing.
 /// * `partial`: with partial loading the windows retire by the comparison
 ///   boundary (`LD_P` refills them); without it only fully-covered windows
 ///   retire (the window whose max is the boundary).
 ///
 /// Both windows must be non-empty; the instruction no-ops otherwise (the
-/// caller checks).
-#[allow(clippy::too_many_arguments)] // mirrors the instruction's operand list
-pub fn sop_set(
-    kind: SetOpKind,
-    wa: &[u32; 4],
-    va: usize,
-    emitted_a: &[bool; 4],
-    wb: &[u32; 4],
-    vb: usize,
-    emitted_b: &[bool; 4],
-    partial: bool,
-) -> SopOutcome {
-    let mut out = SopOutcome {
-        consume_a: 0,
-        consume_b: 0,
-        emit: Vec::with_capacity(8),
-        emitted_a: [false; 4],
-        emitted_b: [false; 4],
-    };
-    sop_set_into(
-        kind, wa, va, emitted_a, wb, vb, emitted_b, partial, &mut out,
-    );
-    out
-}
-
-/// [`sop_set`] writing into caller-owned storage: `out.emit` is cleared
-/// and refilled (its capacity is reused), every other field overwritten.
-/// This is the per-cycle form — the simulated datapath evaluates one
-/// `SOP` per cycle and must not hit the allocator to do it.
-#[allow(clippy::too_many_arguments)] // mirrors the instruction's operand list
-pub fn sop_set_into(
-    kind: SetOpKind,
-    wa: &[u32; 4],
-    va: usize,
-    emitted_a: &[bool; 4],
-    wb: &[u32; 4],
-    vb: usize,
-    emitted_b: &[bool; 4],
-    partial: bool,
-    out: &mut SopOutcome,
-) {
-    debug_assert!((1..=4).contains(&va) && (1..=4).contains(&vb));
-    let amax = wa[va - 1];
-    let bmax = wb[vb - 1];
+/// caller checks). The width-general reference is [`sop_set_n`]; the two
+/// agree lane for lane at width 4.
+#[inline]
+pub fn sop(kind: SetOpKind, a: &Window, b: &Window, partial: bool) -> SopStep {
+    debug_assert!((1..=4).contains(&a.cnt) && (1..=4).contains(&b.cnt));
+    let (wa, wb) = (&a.vals, &b.vals);
+    let valid_a = (1u8 << a.cnt) - 1;
+    let valid_b = (1u8 << b.cnt) - 1;
+    let amax = wa[a.cnt - 1];
+    let bmax = wb[b.cnt - 1];
     let boundary = amax.min(bmax);
-    let m = all_to_all(wa, wb);
 
     // Candidate lanes: valid, <= boundary, not yet emitted.
-    let mut cand_a = [false; 4];
-    let mut cand_b = [false; 4];
-    for i in 0..va {
-        cand_a[i] = wa[i] <= boundary && !emitted_a[i];
-    }
-    for j in 0..vb {
-        cand_b[j] = wb[j] <= boundary && !emitted_b[j];
-    }
-    // Match flags against *valid* lanes of the other window.
-    let mut match_a = [false; 4];
-    let mut match_b = [false; 4];
-    #[allow(clippy::needless_range_loop)] // index form mirrors the eq matrix
-    for i in 0..va {
-        for j in 0..vb {
-            if m.eq & (1 << (i * 4 + j)) != 0 {
-                match_a[i] = true;
-                match_b[j] = true;
-            }
-        }
-    }
+    let cand_a = lane_mask(|i| wa[i] <= boundary) & valid_a & !a.emitted;
+    let cand_b = lane_mask(|j| wb[j] <= boundary) & valid_b & !b.emitted;
 
-    // Emission: a sorted merge of the candidate lanes of both windows.
-    // Candidates within each window are increasing, so a two-pointer merge
-    // models the shuffle network.
-    let emit = &mut out.emit;
-    emit.clear();
-    match kind {
-        SetOpKind::Intersect => {
-            for i in 0..va {
-                if cand_a[i] && match_a[i] {
-                    emit.push(wa[i]);
-                }
-            }
-        }
-        SetOpKind::Difference => {
-            for i in 0..va {
-                if cand_a[i] && !match_a[i] {
-                    emit.push(wa[i]);
-                }
-            }
+    // Emission into the Result lanes.
+    let emit = match kind {
+        SetOpKind::Intersect | SetOpKind::Difference => {
+            // Match flags of A's lanes against the *valid* lanes of B.
+            let match_a = all_to_all_eq(wa, wb, valid_b);
+            let keep = if kind == SetOpKind::Intersect {
+                match_a
+            } else {
+                !match_a
+            };
+            compact(wa, cand_a & keep)
         }
         SetOpKind::Union => {
-            let mut i = 0;
-            let mut j = 0;
-            loop {
-                while i < va && !cand_a[i] {
-                    i += 1;
-                }
-                while j < vb && !cand_b[j] {
-                    j += 1;
-                }
-                match (i < va, j < vb) {
-                    (false, false) => break,
-                    (true, false) => {
-                        emit.push(wa[i]);
-                        i += 1;
-                    }
-                    (false, true) => {
-                        emit.push(wb[j]);
-                        j += 1;
-                    }
-                    (true, true) => {
-                        if wa[i] < wb[j] {
-                            emit.push(wa[i]);
-                            i += 1;
-                        } else if wb[j] < wa[i] {
-                            emit.push(wb[j]);
-                            j += 1;
-                        } else {
-                            emit.push(wa[i]); // equal pair emitted once
-                            i += 1;
-                            j += 1;
-                        }
-                    }
+            // A sorted merge of both windows' candidate lanes (lowest set
+            // bit first), an equal pair emitted once — the shuffle network.
+            let mut emit = Lanes::<8>::default();
+            let (mut ma, mut mb) = (cand_a, cand_b);
+            while ma | mb != 0 {
+                let (i, j) = (ma.trailing_zeros() as usize, mb.trailing_zeros() as usize);
+                if mb == 0 || (ma != 0 && wa[i] < wb[j]) {
+                    emit.push(wa[i]);
+                    ma &= ma - 1;
+                } else if ma == 0 || wb[j] < wa[i] {
+                    emit.push(wb[j]);
+                    mb &= mb - 1;
+                } else {
+                    emit.push(wa[i]);
+                    ma &= ma - 1;
+                    mb &= mb - 1;
                 }
             }
+            emit
         }
-    }
+    };
 
     // Retirement.
     let (consume_a, consume_b) = if partial {
-        // Retire everything <= the other window's max (boundary-based).
-        let ca = (0..va).take_while(|&i| wa[i] <= bmax).count();
-        let cb = (0..vb).take_while(|&j| wb[j] <= amax).count();
-        (ca, cb)
+        // Retire the leading lanes <= the other window's max (boundary-
+        // based): the run of set low bits, which for increasing windows is
+        // the popcount.
+        (
+            (lane_mask(|i| wa[i] <= bmax) & valid_a).trailing_ones() as usize,
+            (lane_mask(|j| wb[j] <= amax) & valid_b).trailing_ones() as usize,
+        )
     } else {
         // Full windows only: the window owning the boundary retires.
         match amax.cmp(&bmax) {
-            std::cmp::Ordering::Equal => (va, vb),
-            std::cmp::Ordering::Less => (va, 0),
-            std::cmp::Ordering::Greater => (0, vb),
+            std::cmp::Ordering::Equal => (a.cnt, b.cnt),
+            std::cmp::Ordering::Less => (a.cnt, 0),
+            std::cmp::Ordering::Greater => (0, b.cnt),
         }
     };
 
-    // Updated emitted flags (pre-shift positions). Retired lanes keep
-    // their flags; LD_P discards them on shift.
-    let mut out_ea = *emitted_a;
-    let mut out_eb = *emitted_b;
-    for i in 0..va {
-        if cand_a[i] {
-            out_ea[i] = true;
-        }
+    SopStep {
+        consume_a,
+        consume_b,
+        emit,
+        emitted_a: a.emitted | cand_a,
+        emitted_b: b.emitted | cand_b,
     }
-    for j in 0..vb {
-        if cand_b[j] {
-            out_eb[j] = true;
-        }
-    }
-
-    out.consume_a = consume_a;
-    out.consume_b = consume_b;
-    out.emitted_a = out_ea;
-    out.emitted_b = out_eb;
 }
 
 #[cfg(test)]
@@ -537,14 +460,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_to_all_flags_pairs() {
-        let m = all_to_all(&[1, 2, 3, 4], &[2, 4, 6, 8]);
-        // a[1] == b[0] -> bit 1*4+0; a[3] == b[1] -> bit 3*4+1.
-        assert_ne!(m.eq & (1 << 4), 0);
-        assert_ne!(m.eq & (1 << 13), 0);
-        assert_eq!(m.eq.count_ones(), 2);
-        // a[0]=1 < all b -> bits 0..4 set in lt.
-        assert_eq!(m.lt & 0xf, 0xf);
+    fn all_to_all_eq_flags_matching_lanes_of_a() {
+        // a[1] == b[0], a[3] == b[1].
+        assert_eq!(all_to_all_eq(&[1, 2, 3, 4], &[2, 4, 6, 8], 0b1111), 0b1010);
+        // Invalid lanes of B never match, even when equal.
+        assert_eq!(all_to_all_eq(&[1, 2, 3, 4], &[2, 4, 6, 8], 0b0001), 0b0010);
+        assert_eq!(all_to_all_eq(&[7, 7, 7, 7], &[7, 0, 0, 0], 0), 0);
     }
 
     #[test]
@@ -588,158 +509,143 @@ mod tests {
         }
     }
 
-    fn no_flags() -> [bool; 4] {
-        [false; 4]
+    fn win(vals: [u32; 4], cnt: usize, emitted: u8) -> Window {
+        Window { vals, cnt, emitted }
     }
 
     #[test]
     fn intersect_partial_emits_matches_and_retires_by_boundary() {
         // A: 1 3 5 9, B: 3 4 5 6 -> matches {3,5}; amax=9 > bmax=6.
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Intersect,
-            &[1, 3, 5, 9],
-            4,
-            &no_flags(),
-            &[3, 4, 5, 6],
-            4,
-            &no_flags(),
+            &win([1, 3, 5, 9], 4, 0),
+            &win([3, 4, 5, 6], 4, 0),
             true,
         );
-        assert_eq!(out.emit, vec![3, 5]);
+        assert_eq!(out.emit.as_slice(), &[3, 5]);
         assert_eq!(out.consume_a, 3, "1,3,5 <= bmax 6");
         assert_eq!(out.consume_b, 4, "all of B <= amax 9");
     }
 
     #[test]
     fn intersect_nonpartial_retires_full_window_only() {
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Intersect,
-            &[1, 3, 5, 9],
-            4,
-            &no_flags(),
-            &[3, 4, 5, 6],
-            4,
-            &no_flags(),
+            &win([1, 3, 5, 9], 4, 0),
+            &win([3, 4, 5, 6], 4, 0),
             false,
         );
-        assert_eq!(out.emit, vec![3, 5]);
+        assert_eq!(out.emit.as_slice(), &[3, 5]);
         assert_eq!(
             (out.consume_a, out.consume_b),
             (0, 4),
             "B owns the boundary"
         );
         // A lanes 3 and 5 are now marked emitted for the next SOP.
-        assert_eq!(out.emitted_a, [true, true, true, false]);
+        assert_eq!(out.emitted_a, 0b0111);
     }
 
     #[test]
     fn nonpartial_emitted_flags_prevent_duplicates() {
         // Continue the previous scenario: B window reloads to 7 8 10 11.
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Intersect,
-            &[1, 3, 5, 9],
-            4,
-            &[true, true, true, false],
-            &[7, 8, 10, 11],
-            4,
-            &no_flags(),
+            &win([1, 3, 5, 9], 4, 0b0111),
+            &win([7, 8, 10, 11], 4, 0),
             true,
         );
         // 9 matches nothing; no duplicates of 3/5.
-        assert_eq!(out.emit, Vec::<u32>::new());
+        assert!(out.emit.is_empty());
     }
 
     #[test]
     fn equal_maxes_retire_both_windows() {
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Intersect,
-            &[1, 2, 3, 8],
-            4,
-            &no_flags(),
-            &[2, 5, 6, 8],
-            4,
-            &no_flags(),
+            &win([1, 2, 3, 8], 4, 0),
+            &win([2, 5, 6, 8], 4, 0),
             false,
         );
-        assert_eq!(out.emit, vec![2, 8]);
+        assert_eq!(out.emit.as_slice(), &[2, 8]);
         assert_eq!((out.consume_a, out.consume_b), (4, 4));
     }
 
     #[test]
     fn union_merges_candidates_once() {
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Union,
-            &[1, 3, 5, 9],
-            4,
-            &no_flags(),
-            &[3, 4, 5, 6],
-            4,
-            &no_flags(),
+            &win([1, 3, 5, 9], 4, 0),
+            &win([3, 4, 5, 6], 4, 0),
             true,
         );
         // boundary = 6: candidates A {1,3,5}, B {3,4,5,6}.
-        assert_eq!(out.emit, vec![1, 3, 4, 5, 6]);
+        assert_eq!(out.emit.as_slice(), &[1, 3, 4, 5, 6]);
+        assert_eq!(out.emit.vals[5..], [SENTINEL; 3], "unused Result lanes");
     }
 
     #[test]
     fn union_can_emit_eight() {
-        let out = sop_set(
+        // B's invalid lane holds a stale 4: it must be ignored.
+        let out = sop(
             SetOpKind::Union,
-            &[1, 2, 3, 4],
-            4,
-            &no_flags(),
-            &[5, 6, 7, 4],
-            3, // careful: window is 5,6,7 valid
-            &no_flags(),
+            &win([1, 2, 3, 4], 4, 0),
+            &win([5, 6, 7, 4], 3, 0),
             true,
         );
         // boundary = min(4,7)=4: candidates A all, B none.
-        assert_eq!(out.emit, vec![1, 2, 3, 4]);
+        assert_eq!(out.emit.as_slice(), &[1, 2, 3, 4]);
 
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Union,
-            &[1, 3, 5, 7],
-            4,
-            &no_flags(),
-            &[2, 4, 6, 7],
-            4,
-            &no_flags(),
+            &win([1, 3, 5, 7], 4, 0),
+            &win([2, 4, 6, 7], 4, 0),
             true,
         );
-        assert_eq!(out.emit, vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(out.emit.as_slice(), &[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!((out.consume_a, out.consume_b), (4, 4));
+
+        let out = sop(
+            SetOpKind::Union,
+            &win([1, 3, 5, 8], 4, 0),
+            &win([2, 4, 6, 9], 4, 0),
+            true,
+        );
+        assert_eq!(out.emit.as_slice(), &[1, 2, 3, 4, 5, 6, 8]);
+        let out = sop(
+            SetOpKind::Union,
+            &win([1, 3, 5, 7], 4, 0),
+            &win([2, 4, 6, 8], 4, 0b1000),
+            true,
+        );
+        assert_eq!(out.emit.as_slice(), &[1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
     fn difference_emits_unmatched_a() {
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Difference,
-            &[1, 3, 5, 9],
-            4,
-            &no_flags(),
-            &[3, 4, 5, 6],
-            4,
-            &no_flags(),
+            &win([1, 3, 5, 9], 4, 0),
+            &win([3, 4, 5, 6], 4, 0),
             true,
         );
-        assert_eq!(out.emit, vec![1], "3 and 5 match; 9 beyond boundary");
+        assert_eq!(
+            out.emit.as_slice(),
+            &[1],
+            "3 and 5 match; 9 beyond boundary"
+        );
         assert_eq!(out.consume_a, 3);
     }
 
     #[test]
     fn partial_windows_from_exhausted_tails() {
         // B has only 2 valid lanes (tail of the set).
-        let out = sop_set(
+        let out = sop(
             SetOpKind::Intersect,
-            &[10, 20, 30, 40],
-            4,
-            &no_flags(),
-            &[20, 25, 0, 0],
-            2,
-            &no_flags(),
+            &win([10, 20, 30, 40], 4, 0),
+            &win([20, 25, 0, 0], 2, 0),
             true,
         );
-        assert_eq!(out.emit, vec![20]);
+        assert_eq!(out.emit.as_slice(), &[20]);
         assert_eq!(out.consume_a, 2, "10, 20 <= bmax 25");
         assert_eq!(out.consume_b, 2, "both <= amax 40");
     }
@@ -790,24 +696,67 @@ mod tests {
         );
     }
 
+    /// A window of `v` strictly increasing values below 24 (so the two
+    /// windows often share values), padded with the sentinel.
+    fn random_window(rng: &mut dbx_faults::XorShift64, v: usize) -> [u32; 4] {
+        let mut w = [SENTINEL; 4];
+        let mut x = rng.next_u32() % 4;
+        for lane in w.iter_mut().take(v) {
+            *lane = x;
+            x += 1 + rng.next_u32() % 5;
+        }
+        w
+    }
+
     #[test]
-    fn sop_set_n_at_width_4_equals_the_instruction() {
-        let wa = [1u32, 3, 5, 9];
-        let wb = [3u32, 4, 5, 6];
-        for kind in [
-            SetOpKind::Intersect,
-            SetOpKind::Union,
-            SetOpKind::Difference,
-        ] {
-            for partial in [false, true] {
-                let fixed = sop_set(kind, &wa, 4, &[false; 4], &wb, 4, &[false; 4], partial);
-                let gen = sop_set_n(kind, &wa, 4, &[false; 4], &wb, 4, &[false; 4], partial);
-                assert_eq!(fixed.emit, gen.emit, "{kind:?} {partial}");
-                assert_eq!(fixed.consume_a, gen.consume_a);
-                assert_eq!(fixed.consume_b, gen.consume_b);
-                assert_eq!(fixed.emitted_a.to_vec(), gen.emitted_a);
+    fn sop_equals_the_width_general_reference_on_a_seeded_sweep() {
+        let mut rng = dbx_faults::XorShift64::new(0x50b_5eed);
+        let bools = |m: u8| -> Vec<bool> { (0..4).map(|i| m >> i & 1 != 0).collect() };
+        let mut emitted_any = [false; 3];
+        for _ in 0..4000 {
+            let (va, vb) = (
+                1 + rng.next_u32() as usize % 4,
+                1 + rng.next_u32() as usize % 4,
+            );
+            let a = win(random_window(&mut rng, va), va, rng.next_u32() as u8 & 0xf);
+            let b = win(random_window(&mut rng, vb), vb, rng.next_u32() as u8 & 0xf);
+            for (k, kind) in [
+                SetOpKind::Intersect,
+                SetOpKind::Union,
+                SetOpKind::Difference,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                for partial in [false, true] {
+                    let fixed = sop(kind, &a, &b, partial);
+                    let gen = sop_set_n(
+                        kind,
+                        &a.vals,
+                        va,
+                        &bools(a.emitted),
+                        &b.vals,
+                        vb,
+                        &bools(b.emitted),
+                        partial,
+                    );
+                    let ctx = format!("{kind:?} partial={partial} a={a:?} b={b:?}");
+                    assert_eq!(fixed.emit.as_slice(), gen.emit.as_slice(), "{ctx}");
+                    assert!(fixed.emit.vals[fixed.emit.cnt..]
+                        .iter()
+                        .all(|&v| v == SENTINEL));
+                    assert_eq!(
+                        (fixed.consume_a, fixed.consume_b),
+                        (gen.consume_a, gen.consume_b),
+                        "{ctx}"
+                    );
+                    assert_eq!(bools(fixed.emitted_a), gen.emitted_a, "{ctx}");
+                    assert_eq!(bools(fixed.emitted_b), gen.emitted_b, "{ctx}");
+                    emitted_any[k] |= fixed.emit.cnt > 1;
+                }
             }
         }
+        assert_eq!(emitted_any, [true; 3], "the sweep must exercise emission");
     }
 
     #[test]
@@ -841,7 +790,7 @@ mod tests {
 
     #[test]
     fn sop_against_scalar_reference_randomised() {
-        // Drive a full two-set consumption loop through sop_set and compare
+        // Drive a full two-set consumption loop through sop and compare
         // with scalar set operations. This is the datapath-level version of
         // the kernel property tests.
         let a: Vec<u32> = (0..64).map(|i| i * 3 + 1).collect();
@@ -859,37 +808,29 @@ mod tests {
         }
     }
 
-    /// Minimal window-driving harness over `sop_set` for datapath tests.
+    /// Minimal window-driving harness over `sop` for datapath tests.
     fn run_windowed(kind: SetOpKind, a: &[u32], b: &[u32], partial: bool) -> Vec<u32> {
         let mut out = Vec::new();
         let (mut pa, mut pb) = (0usize, 0usize);
-        let mut ea = [false; 4];
-        let mut eb = [false; 4];
+        let mut ea = 0u8;
+        let mut eb = 0u8;
         loop {
             let va = (a.len() - pa).min(4);
             let vb = (b.len() - pb).min(4);
             if va == 0 || vb == 0 {
                 break;
             }
-            let mut wa = [u32::MAX; 4];
-            let mut wb = [u32::MAX; 4];
+            let mut wa = [SENTINEL; 4];
+            let mut wb = [SENTINEL; 4];
             wa[..va].copy_from_slice(&a[pa..pa + va]);
             wb[..vb].copy_from_slice(&b[pb..pb + vb]);
-            let o = sop_set(kind, &wa, va, &ea, &wb, vb, &eb, partial);
-            out.extend_from_slice(&o.emit);
+            let o = sop(kind, &win(wa, va, ea), &win(wb, vb, eb), partial);
+            out.extend_from_slice(o.emit.as_slice());
             pa += o.consume_a;
             pb += o.consume_b;
             // Shift emitted flags like LD_P shifts the windows.
-            let mut nea = [false; 4];
-            let mut neb = [false; 4];
-            for i in o.consume_a..va {
-                nea[i - o.consume_a] = o.emitted_a[i];
-            }
-            for j in o.consume_b..vb {
-                neb[j - o.consume_b] = o.emitted_b[j];
-            }
-            ea = nea;
-            eb = neb;
+            ea = o.emitted_a >> o.consume_a;
+            eb = o.emitted_b >> o.consume_b;
             assert!(o.consume_a > 0 || o.consume_b > 0, "progress guaranteed");
         }
         // Epilogue: remaining elements.
@@ -898,16 +839,17 @@ mod tests {
             SetOpKind::Difference => {
                 for i in pa..a.len() {
                     let w = a[i];
-                    let already = (0..4).any(|k| pa + k < a.len() && ea[k] && a[pa + k] == w);
+                    let already =
+                        (0..4).any(|k| pa + k < a.len() && ea >> k & 1 != 0 && a[pa + k] == w);
                     if !already {
                         out.push(w);
                     }
                 }
             }
             SetOpKind::Union => {
-                for (p, set, e) in [(pa, a, &ea), (pb, b, &eb)] {
+                for (p, set, e) in [(pa, a, ea), (pb, b, eb)] {
                     for (k, &v) in set[p..].iter().enumerate() {
-                        if k < 4 && e[k] {
+                        if k < 4 && e >> k & 1 != 0 {
                             continue;
                         }
                         out.push(v);

@@ -28,8 +28,8 @@
 //! `SOP` with a `LD_P` in one cycle is rejected as a structural hazard —
 //! in hardware that combination is what blows up the critical path.
 
-use crate::datapath::{merge8, sop_set_into, sort4, SetOpKind, SopOutcome};
-use crate::states::{DbStates, SENTINEL};
+use crate::datapath::{merge8, sop, sort4, SetOpKind};
+use crate::states::{DbStates, Lanes};
 use dbx_cpu::ext::{Extension, LsuUse, OpDescriptor, TieCtx};
 use dbx_cpu::{OpArgs, SimError};
 
@@ -191,11 +191,6 @@ pub struct DbExtension {
     cfg: DbExtConfig,
     /// The TIE states (public for inspection in tests and reports).
     pub st: DbStates,
-    /// Scratch outcome for the per-cycle `SOP` evaluation. Not
-    /// architectural state — it only exists so the emit buffer's capacity
-    /// is reused across cycles instead of reallocated (its contents are
-    /// dead between `SOP`s: `u_sop` swaps the emitted values out).
-    sop_scratch: SopOutcome,
 }
 
 impl DbExtension {
@@ -204,13 +199,6 @@ impl DbExtension {
         DbExtension {
             cfg,
             st: DbStates::with_load_buf_cap(cfg.load_buf_cap),
-            sop_scratch: SopOutcome {
-                consume_a: 0,
-                consume_b: 0,
-                emit: Vec::with_capacity(8),
-                emitted_a: [false; 4],
-                emitted_b: [false; 4],
-            },
         }
     }
 
@@ -238,10 +226,9 @@ impl DbExtension {
         if k == 0 {
             return Ok(());
         }
-        let mut vals = [0u32; crate::states::STORE_FIFO_CAP];
-        let k = s.fifo.take_into(k, &mut vals);
+        let beat = s.fifo.take_beat(k);
         ctx.mem
-            .store_lanes(self.cfg.lsu_st, s.ptr_c, &vals[..k], ctx.counters)?;
+            .store_lanes(self.cfg.lsu_st, s.ptr_c, beat.as_slice(), ctx.counters)?;
         s.ptr_c += 4 * k as u32;
         s.out_cnt += k as u32;
         Ok(())
@@ -249,11 +236,9 @@ impl DbExtension {
 
     fn u_st_s(&mut self) {
         let s = &mut self.st;
-        if !s.result.is_empty() && s.fifo.free() >= s.result.len() {
-            s.fifo.push_slice(&s.result);
-            // `clear` (not `take`) so the buffer's capacity survives for
-            // the next emit — the steady state allocates nothing.
-            s.result.clear();
+        if !s.result.is_empty() && s.fifo.free() >= s.result.cnt {
+            s.fifo.push_slice(s.result.as_slice());
+            s.result = Lanes::default();
         }
     }
 
@@ -269,21 +254,8 @@ impl DbExtension {
         if !s.a_window_ready() || !s.b_window_ready() {
             return; // bubble: supply has not caught up
         }
-        let out = &mut self.sop_scratch;
-        sop_set_into(
-            kind,
-            &s.word_a.vals,
-            s.word_a.cnt,
-            &s.word_a.emitted,
-            &s.word_b.vals,
-            s.word_b.cnt,
-            &s.word_b.emitted,
-            self.cfg.partial_loading,
-            out,
-        );
-        // `result` is empty here (checked above); the swap hands its spare
-        // capacity to the scratch buffer for the next SOP.
-        std::mem::swap(&mut s.result, &mut out.emit);
+        let out = sop(kind, &s.word_a, &s.word_b, self.cfg.partial_loading);
+        s.result = out.emit;
         s.consumed_a = out.consume_a;
         s.consumed_b = out.consume_b;
         s.word_a.emitted = out.emitted_a;
@@ -339,29 +311,32 @@ impl DbExtension {
             Choice::Wait => {}
             Choice::Drain => {
                 if s.merge_primed {
-                    s.result.clear();
-                    s.result.extend_from_slice(&s.word_a.vals);
+                    s.result = Lanes::default();
+                    for v in s.word_a.vals {
+                        s.result.push(v);
+                    }
                     s.word_a = Default::default();
                     s.merge_primed = false;
                 }
                 s.done = true;
             }
             Choice::A | Choice::B => {
-                let mut block = [SENTINEL; 4];
-                let got = if matches!(choice, Choice::A) {
-                    s.load_a.take_into(4, &mut block)
+                let block = if matches!(choice, Choice::A) {
+                    s.load_a.take_beat(4)
                 } else {
-                    s.load_b.take_into(4, &mut block)
+                    s.load_b.take_beat(4)
                 };
-                debug_assert_eq!(got, 4, "merge consumes whole blocks");
+                debug_assert_eq!(block.cnt, 4, "merge consumes whole blocks");
                 if !s.merge_primed {
-                    s.word_a.vals = block;
+                    s.word_a.vals = block.vals;
                     s.word_a.cnt = 4;
                     s.merge_primed = true;
                 } else {
-                    let m = merge8(s.word_a.vals, block);
-                    s.result.clear();
-                    s.result.extend_from_slice(&m[..4]);
+                    let m = merge8(s.word_a.vals, block.vals);
+                    s.result = Lanes::default();
+                    for &v in &m[..4] {
+                        s.result.push(v);
+                    }
                     s.word_a.vals.copy_from_slice(&m[4..]);
                 }
             }
@@ -404,7 +379,7 @@ impl DbExtension {
         let n = (((end - *ptr) / 4) as usize).min(to_beat);
         let mut vals = [0u32; 4];
         ctx.mem
-            .load_lanes_into(lsu, *ptr, &mut vals[..n], ctx.counters)?;
+            .load_lanes(lsu, *ptr, &mut vals[..n], ctx.counters)?;
         buf.push_slice(&vals[..n]);
         *ptr += 4 * n as u32;
         Ok(())
@@ -451,26 +426,21 @@ impl DbExtension {
         } else {
             (&mut s.word_a, &mut s.load_a)
         };
-        // 4 window lanes + a full load buffer (its cap is bounded by the
-        // FIFO cap, 12) can exceed the FIFO capacity; the oversize case
-        // bails out below exactly as before.
-        let mut vals = [0u32; 4 + crate::states::STORE_FIFO_CAP];
-        let mut n = 0;
+        // The window's unemitted lanes, then the load buffer's elements.
+        let mut lanes = Lanes::<4>::default();
         for i in 0..w.cnt {
-            if !w.emitted[i] {
-                vals[n] = w.vals[i];
-                n += 1;
+            if w.emitted >> i & 1 == 0 {
+                lanes.push(w.vals[i]);
             }
         }
-        let tail = buf.as_slice();
-        vals[n..n + tail.len()].copy_from_slice(tail);
-        n += tail.len();
-        if n > s.fifo.free() {
+        if lanes.cnt + buf.len() > s.fifo.free() {
             return; // kernel must flush the FIFO first
         }
-        s.fifo.push_slice(&vals[..n]);
+        s.fifo.push_slice(lanes.as_slice());
+        while !buf.is_empty() {
+            s.fifo.push_slice(buf.take_beat(4).as_slice());
+        }
         *w = Default::default();
-        buf.clear();
     }
 
     fn u_cpy_st(&mut self, ctx: &mut TieCtx<'_>) -> Result<(), SimError> {
@@ -479,11 +449,10 @@ impl DbExtension {
             return Ok(());
         }
         let to_beat = 4 - ((s.ptr_c as usize % 16) / 4);
-        let k = s.cpy.len().min(to_beat);
-        let mut vals = [0u32; crate::states::STORE_FIFO_CAP];
-        let k = s.cpy.take_into(k, &mut vals);
+        let beat = s.cpy.take_beat(to_beat);
+        let k = beat.cnt;
         ctx.mem
-            .store_lanes(self.cfg.lsu_st, s.ptr_c, &vals[..k], ctx.counters)?;
+            .store_lanes(self.cfg.lsu_st, s.ptr_c, beat.as_slice(), ctx.counters)?;
         s.ptr_c += 4 * k as u32;
         s.out_cnt += k as u32;
         Ok(())
@@ -513,7 +482,7 @@ impl DbExtension {
         let n = (((end - *ptr) / 4) as usize).min(to_beat);
         let mut vals = [0u32; 4];
         ctx.mem
-            .load_lanes_into(lsu, *ptr, &mut vals[..n], ctx.counters)?;
+            .load_lanes(lsu, *ptr, &mut vals[..n], ctx.counters)?;
         if sorted {
             debug_assert_eq!(n, 4, "presort input must be a multiple of 4");
             vals = sort4(vals);

@@ -25,7 +25,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::configs::ProcModel;
 use crate::datapath::SetOpKind;
@@ -53,14 +53,17 @@ static PREFLIGHT: AtomicBool = AtomicBool::new(false);
 /// Opts all subsequent kernel runs in this process into the static
 /// pre-flight verifier (`dbx-analysis`): error-severity findings abort the
 /// run with [`SimError::BadProgram`] before a single cycle is simulated.
-/// Also enabled by setting the `DBX_PREFLIGHT` environment variable to
-/// anything but `0`.
+/// Also enabled for the whole process by setting the `DBX_PREFLIGHT`
+/// environment variable to anything but `0` before the first kernel run
+/// (the variable is read once).
 pub fn set_preflight(on: bool) {
     PREFLIGHT.store(on, Ordering::Relaxed);
 }
 
 fn preflight_enabled() -> bool {
-    PREFLIGHT.load(Ordering::Relaxed) || std::env::var_os("DBX_PREFLIGHT").is_some_and(|v| v != "0")
+    static FROM_ENV: OnceLock<bool> = OnceLock::new();
+    PREFLIGHT.load(Ordering::Relaxed)
+        || *FROM_ENV.get_or_init(|| std::env::var_os("DBX_PREFLIGHT").is_some_and(|v| v != "0"))
 }
 
 /// The cached template for `key`, assembled by `build` on a miss. With

@@ -22,10 +22,59 @@ pub const LOAD_BUF_CAP: usize = 8;
 /// an undrained partial beat).
 pub const STORE_FIFO_CAP: usize = 12;
 
-/// A small shifting FIFO of set elements (a Load buffer or the store path).
+/// Slots of the [`ElemFifo`] ring: the smallest power of two that holds
+/// the deepest FIFO ([`STORE_FIFO_CAP`]), so a slot index wraps with a mask.
+const RING: usize = 16;
+const _: () = assert!(STORE_FIFO_CAP <= RING && RING.is_power_of_two());
+
+/// A fixed-width lane vector: `cnt` front-aligned set elements, every lane
+/// past `cnt` holding [`SENTINEL`]. `Lanes<4>` is one 128-bit beat;
+/// `Lanes<8>` holds the Result states (a union step emits at most eight).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes<const N: usize> {
+    /// Front-aligned values; invalid lanes hold [`SENTINEL`].
+    pub vals: [u32; N],
+    /// Valid lane count.
+    pub cnt: usize,
+}
+
+impl<const N: usize> Default for Lanes<N> {
+    fn default() -> Self {
+        Lanes {
+            vals: [SENTINEL; N],
+            cnt: 0,
+        }
+    }
+}
+
+impl<const N: usize> Lanes<N> {
+    /// The valid lanes.
+    #[inline]
+    pub fn as_slice(&self) -> &[u32] {
+        &self.vals[..self.cnt]
+    }
+
+    /// True when no lane is valid.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.cnt == 0
+    }
+
+    /// Appends one value; the caller guarantees a free lane.
+    #[inline]
+    pub(crate) fn push(&mut self, v: u32) {
+        self.vals[self.cnt] = v;
+        self.cnt += 1;
+    }
+}
+
+/// A small ring FIFO of set elements (a Load buffer or the store path).
+/// Pushes and takes move only their own lanes; slots outside the live
+/// range are never read, so they need no clearing.
 #[derive(Debug, Clone)]
 pub struct ElemFifo {
-    buf: [u32; STORE_FIFO_CAP],
+    buf: [u32; RING],
+    head: usize,
     len: usize,
     cap: usize,
 }
@@ -35,7 +84,8 @@ impl ElemFifo {
     pub fn new(cap: usize) -> Self {
         assert!(cap <= STORE_FIFO_CAP);
         ElemFifo {
-            buf: [SENTINEL; STORE_FIFO_CAP],
+            buf: [SENTINEL; RING],
+            head: 0,
             len: 0,
             cap,
         }
@@ -69,61 +119,49 @@ impl ElemFifo {
     #[inline]
     pub fn push_slice(&mut self, vals: &[u32]) {
         assert!(vals.len() <= self.free(), "FIFO overflow: structural bug");
-        self.buf[self.len..self.len + vals.len()].copy_from_slice(vals);
+        let tail = self.head + self.len;
+        for (i, &v) in vals.iter().enumerate() {
+            self.buf[(tail + i) & (RING - 1)] = v;
+        }
         self.len += vals.len();
     }
 
-    /// Removes and returns up to `n` front elements.
-    pub fn take(&mut self, n: usize) -> Vec<u32> {
-        let mut out = [0u32; STORE_FIFO_CAP];
-        let k = self.take_into(n, &mut out);
-        out[..k].to_vec()
-    }
-
-    /// Removes up to `n` front elements into `out` (which must hold
-    /// them); returns how many were moved. The allocation-free twin of
-    /// [`Self::take`] for the per-cycle datapath.
+    /// Removes up to `n` (at most 4) front elements as one beat: the
+    /// removed elements front-aligned, the lanes past them [`SENTINEL`].
     #[inline]
-    pub fn take_into(&mut self, n: usize, out: &mut [u32]) -> usize {
+    pub(crate) fn take_beat(&mut self, n: usize) -> Lanes<4> {
+        debug_assert!(n <= 4);
         let k = n.min(self.len);
-        out[..k].copy_from_slice(&self.buf[..k]);
-        self.buf.copy_within(k..self.len, 0);
+        let head = self.head;
+        let vals = std::array::from_fn(|i| {
+            if i < k {
+                self.buf[(head + i) & (RING - 1)]
+            } else {
+                SENTINEL
+            }
+        });
+        self.head = (head + k) & (RING - 1);
         self.len -= k;
-        // Only the k slots vacated by the shift can hold stale values; slots
-        // past them were already sentinel-filled (only `[..len]` is readable).
-        for s in &mut self.buf[self.len..self.len + k] {
-            *s = SENTINEL;
-        }
-        k
+        Lanes { vals, cnt: k }
     }
 
     /// Peeks the front element.
     #[inline]
     pub fn front(&self) -> Option<u32> {
-        (self.len > 0).then(|| self.buf[0])
-    }
-
-    /// Read-only view of the buffered elements.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.buf[..self.len]
-    }
-
-    /// Clears the FIFO.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.buf = [SENTINEL; STORE_FIFO_CAP];
+        (self.len > 0).then(|| self.buf[self.head])
     }
 }
 
 /// A 4-element Word window with validity count and per-lane emitted flags.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Window {
     /// Front-aligned values; invalid lanes hold [`SENTINEL`].
     pub vals: [u32; 4],
     /// Valid lane count.
     pub cnt: usize,
-    /// Per-lane "already emitted" flags (full-window-retirement mode).
-    pub emitted: [bool; 4],
+    /// "Already emitted" flags (full-window-retirement mode): bit `i` set
+    /// when lane `i` was emitted by an earlier `SOP`.
+    pub emitted: u8,
 }
 
 impl Default for Window {
@@ -131,7 +169,7 @@ impl Default for Window {
         Window {
             vals: [SENTINEL; 4],
             cnt: 0,
-            emitted: [false; 4],
+            emitted: 0,
         }
     }
 }
@@ -143,23 +181,18 @@ impl Window {
     pub fn shift_refill(&mut self, consumed: usize, src: &mut ElemFifo) {
         debug_assert!(consumed <= self.cnt);
         let remain = self.cnt - consumed;
-        for i in 0..4 {
+        let got = src.take_beat(4 - remain);
+        // The unconsumed lanes, then the refill (sentinel past its count).
+        let kept = self.vals;
+        self.vals = std::array::from_fn(|i| {
             if i < remain {
-                self.vals[i] = self.vals[i + consumed];
-                self.emitted[i] = self.emitted[i + consumed];
+                kept[i + consumed]
             } else {
-                self.vals[i] = SENTINEL;
-                self.emitted[i] = false;
+                got.vals[i - remain]
             }
-        }
-        self.cnt = remain;
-        let want = 4 - self.cnt;
-        if want > 0 && !src.is_empty() {
-            let mut got = [0u32; 4];
-            let k = src.take_into(want, &mut got);
-            self.vals[self.cnt..self.cnt + k].copy_from_slice(&got[..k]);
-            self.cnt += k;
-        }
+        });
+        self.emitted = (self.emitted >> consumed) & ((1u8 << remain) - 1);
+        self.cnt = remain + got.cnt;
     }
 
     /// True when the window holds four valid lanes.
@@ -184,7 +217,7 @@ pub struct DbStates {
     /// Lanes of B consumed by the last `SOP`, pending `LD_P`.
     pub consumed_b: usize,
     /// Result states (up to 8 for union).
-    pub result: Vec<u32>,
+    pub result: Lanes<8>,
     /// Store FIFO (TmpStore + Store states).
     pub fifo: ElemFifo,
     /// Copy buffer for the 128-bit copy / presort path.
@@ -223,7 +256,7 @@ impl DbStates {
             word_b: Window::default(),
             consumed_a: 0,
             consumed_b: 0,
-            result: Vec::with_capacity(8),
+            result: Lanes::default(),
             fifo: ElemFifo::new(STORE_FIFO_CAP),
             cpy: ElemFifo::new(LOAD_BUF_CAP),
             ptr_a: 0,
@@ -279,6 +312,8 @@ impl DbStates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbx_faults::XorShift64;
+    use std::collections::VecDeque;
 
     #[test]
     fn fifo_push_take_order() {
@@ -286,11 +321,13 @@ mod tests {
         f.push_slice(&[1, 2, 3]);
         f.push_slice(&[4]);
         assert_eq!(f.len(), 4);
-        assert_eq!(f.take(2), vec![1, 2]);
-        assert_eq!(f.as_slice(), &[3, 4]);
+        assert_eq!(f.take_beat(2).as_slice(), &[1, 2]);
         assert_eq!(f.front(), Some(3));
-        assert_eq!(f.take(10), vec![3, 4]);
+        let rest = f.take_beat(4);
+        assert_eq!(rest.vals, [3, 4, SENTINEL, SENTINEL]);
+        assert_eq!(rest.cnt, 2);
         assert!(f.is_empty());
+        assert_eq!(f.front(), None);
     }
 
     #[test]
@@ -301,6 +338,45 @@ mod tests {
     }
 
     #[test]
+    fn fifo_matches_a_vecdeque_model_across_ring_wraparound() {
+        // Random pushes (up to 8 lanes, like a Result emission) and takes
+        // (up to one beat) against a VecDeque; enough operations that the
+        // head wraps the 16-slot ring many times at every capacity.
+        let mut rng = XorShift64::new(0x5eed_f1f0);
+        for cap in [4, 8, STORE_FIFO_CAP] {
+            let mut f = ElemFifo::new(cap);
+            let mut model: VecDeque<u32> = VecDeque::new();
+            let mut wraps = 0;
+            for step in 0..20_000u32 {
+                if rng.next_u32() & 1 == 0 {
+                    let n = (rng.next_u32() as usize % 9).min(f.free());
+                    let vals: Vec<u32> = (0..n as u32).map(|i| step * 16 + i).collect();
+                    f.push_slice(&vals);
+                    model.extend(&vals);
+                } else {
+                    let n = rng.next_u32() as usize % 5;
+                    let head = f.head;
+                    let beat = f.take_beat(n);
+                    wraps += usize::from(f.head < head);
+                    let expect: Vec<u32> = model.drain(..n.min(model.len())).collect();
+                    assert_eq!(beat.as_slice(), expect.as_slice(), "cap {cap} step {step}");
+                    assert!(
+                        beat.vals[beat.cnt..].iter().all(|&v| v == SENTINEL),
+                        "lanes past the count must be sentinel: {beat:?}"
+                    );
+                }
+                assert_eq!(f.len(), model.len());
+                assert_eq!(f.free(), cap - model.len());
+                assert_eq!(f.front(), model.front().copied());
+            }
+            assert!(
+                wraps > 100,
+                "cap {cap}: the ring wrapped only {wraps} times"
+            );
+        }
+    }
+
+    #[test]
     fn window_shift_refill_preserves_order_and_flags() {
         let mut w = Window::default();
         let mut src = ElemFifo::new(8);
@@ -308,14 +384,10 @@ mod tests {
         w.shift_refill(0, &mut src);
         assert_eq!(w.vals, [10, 20, 30, 40]);
         assert!(w.is_full());
-        w.emitted = [false, true, true, false];
+        w.emitted = 0b0110;
         w.shift_refill(2, &mut src);
         assert_eq!(w.vals, [30, 40, 50, 60]);
-        assert_eq!(
-            w.emitted,
-            [true, false, false, false],
-            "flags shift with lanes"
-        );
+        assert_eq!(w.emitted, 0b0001, "flags shift with lanes");
         assert!(src.is_empty());
         // Partial refill leaves sentinels.
         w.shift_refill(3, &mut src);
@@ -337,7 +409,7 @@ mod tests {
             !s.a_supply_exhausted(),
             "buffered elements still count as supply"
         );
-        let _ = s.load_a.take(1);
+        let _ = s.load_a.take_beat(1);
         assert!(s.a_supply_exhausted());
         s.word_a.vals[0] = 5;
         s.word_a.cnt = 1;

@@ -2,7 +2,8 @@
 //! contracts every emission/retirement decision must satisfy for
 //! arbitrary strictly-increasing windows.
 
-use dbx_core::datapath::{merge8, sop_set, sort4, SetOpKind};
+use dbx_core::datapath::{merge8, sop, sort4, SetOpKind};
+use dbx_core::states::Window;
 use proptest::collection::btree_set;
 use proptest::prelude::*;
 
@@ -18,8 +19,13 @@ fn window_strategy() -> impl Strategy<Value = ([u32; 4], usize)> {
     })
 }
 
-fn flags_strategy() -> impl Strategy<Value = [bool; 4]> {
-    proptest::array::uniform4(any::<bool>())
+/// Per-lane emitted flags as a window's bitmask.
+fn flags_strategy() -> impl Strategy<Value = u8> {
+    0u8..16
+}
+
+fn win(vals: [u32; 4], cnt: usize, emitted: u8) -> Window {
+    Window { vals, cnt, emitted }
 }
 
 fn kinds() -> [SetOpKind; 3] {
@@ -42,7 +48,8 @@ proptest! {
         partial in any::<bool>(),
     ) {
         for kind in kinds() {
-            let out = sop_set(kind, &wa, va, &ea, &wb, vb, &eb, partial);
+            let out = sop(kind, &win(wa, va, ea), &win(wb, vb, eb), partial);
+            let emit = out.emit.as_slice();
 
             // (1) Consumption bounds and progress.
             prop_assert!(out.consume_a <= va);
@@ -54,14 +61,14 @@ proptest! {
 
             // (2) Emission is strictly increasing (sorted, duplicate-free).
             prop_assert!(
-                out.emit.windows(2).all(|w| w[0] < w[1]),
-                "{kind:?}: emit not strictly increasing: {:?}", out.emit
+                emit.windows(2).all(|w| w[0] < w[1]),
+                "{kind:?}: emit not strictly increasing: {:?}", emit
             );
 
             // (3) Emission membership.
             let in_a = |x: u32| wa[..va].contains(&x);
             let in_b = |x: u32| wb[..vb].contains(&x);
-            for &x in &out.emit {
+            for &x in emit {
                 match kind {
                     SetOpKind::Intersect => prop_assert!(in_a(x) && in_b(x)),
                     SetOpKind::Difference => prop_assert!(in_a(x) && !in_b(x)),
@@ -70,26 +77,24 @@ proptest! {
             }
 
             // (4) Emitted flags are monotone (never cleared).
-            for i in 0..4 {
-                prop_assert!(!ea[i] || out.emitted_a[i], "flag A{i} cleared");
-                prop_assert!(!eb[i] || out.emitted_b[i], "flag B{i} cleared");
-            }
+            prop_assert_eq!(out.emitted_a & ea, ea, "flag of A cleared");
+            prop_assert_eq!(out.emitted_b & eb, eb, "flag of B cleared");
 
             // (5) Nothing beyond the boundary is emitted.
             let boundary = wa[va - 1].min(wb[vb - 1]);
-            prop_assert!(out.emit.iter().all(|&x| x <= boundary));
+            prop_assert!(emit.iter().all(|&x| x <= boundary));
 
             // (6) Previously-emitted lanes are not re-emitted.
-            for i in 0..va {
-                if ea[i] {
+            for (i, &x) in wa[..va].iter().enumerate() {
+                if ea >> i & 1 != 0 {
                     // A-lane flagged: only a union emission sourced from B
                     // may carry the same value; the value itself must then
                     // be a fresh B lane.
-                    if out.emit.contains(&wa[i]) {
-                        let j = wb[..vb].iter().position(|&y| y == wa[i]);
+                    if emit.contains(&x) {
+                        let j = wb[..vb].iter().position(|&y| y == x);
                         prop_assert!(
-                            matches!((kind, j), (SetOpKind::Union, Some(j)) if !eb[j]),
-                            "{kind:?} re-emitted flagged value {}", wa[i]
+                            matches!((kind, j), (SetOpKind::Union, Some(j)) if eb >> j & 1 == 0),
+                            "{kind:?} re-emitted flagged value {}", x
                         );
                     }
                 }
@@ -102,9 +107,7 @@ proptest! {
         (wa, va) in window_strategy(),
         (wb, vb) in window_strategy(),
     ) {
-        let out = sop_set(
-            SetOpKind::Intersect, &wa, va, &[false; 4], &wb, vb, &[false; 4], false,
-        );
+        let out = sop(SetOpKind::Intersect, &win(wa, va, 0), &win(wb, vb, 0), false);
         let amax = wa[va - 1];
         let bmax = wb[vb - 1];
         if amax == bmax {
@@ -121,9 +124,7 @@ proptest! {
         (wa, va) in window_strategy(),
         (wb, vb) in window_strategy(),
     ) {
-        let out = sop_set(
-            SetOpKind::Union, &wa, va, &[false; 4], &wb, vb, &[false; 4], true,
-        );
+        let out = sop(SetOpKind::Union, &win(wa, va, 0), &win(wb, vb, 0), true);
         let amax = wa[va - 1];
         let bmax = wb[vb - 1];
         prop_assert_eq!(out.consume_a, wa[..va].iter().filter(|&&x| x <= bmax).count());

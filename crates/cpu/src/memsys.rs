@@ -274,49 +274,43 @@ impl MemorySystem {
         Err(SimError::Mem(MemError::Unmapped { addr }))
     }
 
-    /// Loads up to four 32-bit lanes from a local memory through `lsu`
-    /// (byte-enabled narrow read of a 128-bit unit). The lanes must not
-    /// cross a 16-byte beat boundary — that would be two accesses in one
-    /// cycle, a structural hazard.
-    pub fn load_lanes(
-        &mut self,
-        lsu: usize,
-        addr: u32,
-        n: usize,
-        counters: &mut EventCounters,
-    ) -> Result<Vec<u32>, SimError> {
-        let mut lanes = [0u32; 4];
-        self.load_lanes_into(lsu, addr, &mut lanes[..n], counters)?;
-        Ok(lanes[..n].to_vec())
+    /// The local memory wired to `lsu` for a lane access at `addr`, after
+    /// charging the LSU. Lane accesses are the extension's: they go to the
+    /// LSU's own DMEM only (paper Figure 6), so an address outside it —
+    /// another LSU's DMEM included — is unmapped.
+    #[inline]
+    fn lane_dmem(&mut self, lsu: usize, addr: u32) -> Result<&mut LocalMemory, SimError> {
+        self.charge_lsu(lsu, Width::W32)?;
+        match self.dmems.get_mut(lsu) {
+            Some(m) if m.contains(addr, 1) => Ok(m),
+            _ => Err(SimError::Mem(MemError::Unmapped { addr })),
+        }
     }
 
-    /// Like [`Self::load_lanes`], but reads into a caller-provided buffer
-    /// (the lane count is `out.len()`) — the allocation-free form the
-    /// per-cycle extension datapath uses.
-    pub fn load_lanes_into(
+    /// Loads `out.len()` (up to four) 32-bit lanes from the local memory
+    /// of `lsu` (byte-enabled narrow read of a 128-bit unit). The lanes
+    /// must not cross a 16-byte beat boundary — that would be two accesses
+    /// in one cycle, a structural hazard.
+    #[inline]
+    pub fn load_lanes(
         &mut self,
         lsu: usize,
         addr: u32,
         out: &mut [u32],
         counters: &mut EventCounters,
     ) -> Result<(), SimError> {
-        self.charge_lsu(lsu, Width::W32)?;
-        let ix = self
-            .dmem_index(addr)
-            .ok_or(SimError::Mem(MemError::Unmapped { addr }))?;
-        if self.dmems.len() > 1 && ix != lsu {
-            return Err(SimError::Mem(MemError::Unmapped { addr }));
-        }
-        self.dmems[ix].read_lanes_into(AccessPort::Core, addr, out)?;
+        self.lane_dmem(lsu, addr)?
+            .read_lanes(AccessPort::Core, addr, out)?;
         counters.loads_local += 1;
         counters.bytes_loaded += 4 * out.len() as u64;
-        self.charge_ecc_read(ix, counters);
+        self.charge_ecc_read(lsu, counters);
         Ok(())
     }
 
-    /// Stores up to four 32-bit lanes into a local memory through `lsu`
+    /// Stores up to four 32-bit lanes into the local memory of `lsu`
     /// (byte-enabled partial 128-bit store). Same beat-boundary rule as
     /// [`Self::load_lanes`].
+    #[inline]
     pub fn store_lanes(
         &mut self,
         lsu: usize,
@@ -324,14 +318,8 @@ impl MemorySystem {
         lanes: &[u32],
         counters: &mut EventCounters,
     ) -> Result<(), SimError> {
-        self.charge_lsu(lsu, Width::W32)?;
-        let ix = self
-            .dmem_index(addr)
-            .ok_or(SimError::Mem(MemError::Unmapped { addr }))?;
-        if self.dmems.len() > 1 && ix != lsu {
-            return Err(SimError::Mem(MemError::Unmapped { addr }));
-        }
-        self.dmems[ix].write_lanes(AccessPort::Core, addr, lanes)?;
+        self.lane_dmem(lsu, addr)?
+            .write_lanes(AccessPort::Core, addr, lanes)?;
         counters.stores_local += 1;
         counters.bytes_stored += 4 * lanes.len() as u64;
         Ok(())
@@ -435,6 +423,35 @@ mod tests {
         assert!(m.load(0, DMEM1_BASE, Width::W32, &mut c).is_err());
         m.begin_cycle();
         assert!(m.load(1, DMEM0_BASE, Width::W32, &mut c).is_err());
+    }
+
+    #[test]
+    fn lane_accesses_reach_only_their_own_lsus_memory() {
+        let cfg = CpuConfig::local_store_core(2, 32);
+        let mut m = MemorySystem::new(&cfg);
+        let mut c = counters();
+        m.poke_words(DMEM1_BASE, &[5, 6]).unwrap();
+        m.begin_cycle();
+        let mut lanes = [0u32; 2];
+        m.load_lanes(1, DMEM1_BASE, &mut lanes, &mut c).unwrap();
+        assert_eq!(lanes, [5, 6]);
+        m.store_lanes(0, DMEM0_BASE, &[7], &mut c).unwrap();
+        assert_eq!((c.loads_local, c.stores_local), (1, 1));
+        // Another LSU's memory, or no memory at all, is unmapped.
+        for (lsu, addr) in [(0, DMEM1_BASE), (1, DMEM0_BASE), (0, SYSMEM_BASE)] {
+            m.begin_cycle();
+            let e = m.load_lanes(lsu, addr, &mut lanes, &mut c).unwrap_err();
+            assert!(matches!(e, SimError::Mem(MemError::Unmapped { .. })));
+            m.begin_cycle();
+            let e = m.store_lanes(lsu, addr, &[1], &mut c).unwrap_err();
+            assert!(matches!(e, SimError::Mem(MemError::Unmapped { .. })));
+        }
+        let mut cached = MemorySystem::new(&CpuConfig::small_cached_controller());
+        cached.begin_cycle();
+        let e = cached
+            .load_lanes(0, SYSMEM_BASE, &mut lanes, &mut c)
+            .unwrap_err();
+        assert!(matches!(e, SimError::Mem(MemError::Unmapped { .. })));
     }
 
     #[test]

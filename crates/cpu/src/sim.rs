@@ -331,7 +331,7 @@ impl Processor {
     pub fn reset_run_state(&mut self) {
         self.ar = [0; 16];
         self.hw_loop = None;
-        self.counters = EventCounters::default();
+        self.counters.reset();
         self.cycles = 0;
         self.pending_load = None;
         self.halted = false;
@@ -771,16 +771,17 @@ impl Processor {
         pc: u32,
         ops: &[(u16, crate::isa::OpArgs)],
     ) -> Result<u32, SimError> {
-        let mut ext = self.ext.take().ok_or(SimError::NoExtension { pc })?;
+        let ext = self
+            .ext
+            .as_deref_mut()
+            .ok_or(SimError::NoExtension { pc })?;
         let mut ctx = TieCtx {
             ar: &mut self.ar,
             mem: &mut self.mem,
             counters: &mut self.counters,
             queues: &mut self.queues,
         };
-        let result = ext.execute(ops, &mut ctx);
-        self.ext = Some(ext);
-        result
+        ext.execute(ops, &mut ctx)
     }
 
     /// Runs until `HALT` or until `max_cycles` elapse.
@@ -1143,6 +1144,16 @@ mod tests {
         assert_eq!(p.ar[7], 22, "second ADD committed");
         assert_eq!(stats.counters.flix_bundles, 1);
         assert_eq!(stats.counters.ext_ops, 4);
+
+        // A rerun zeroes the counters in place: they read exactly as
+        // freshly built (an empty per-op table), the table keeps its
+        // allocation, and the rerun counts the same events.
+        let table = p.counters.ext_op_counts.capacity();
+        assert!(table >= 2);
+        p.reset_run_state();
+        assert_eq!(p.counters, EventCounters::default());
+        assert_eq!(p.counters.ext_op_counts.capacity(), table);
+        assert_eq!(p.run(1000).unwrap(), stats);
     }
 
     #[test]

@@ -63,6 +63,18 @@ pub struct EventCounters {
 }
 
 impl EventCounters {
+    /// Zeroes every counter in place, as `Default` builds them (an empty
+    /// per-op table), keeping the per-op table's allocation so a reused
+    /// processor does not regrow it run after run.
+    pub fn reset(&mut self) {
+        let mut ext_op_counts = std::mem::take(&mut self.ext_op_counts);
+        ext_op_counts.clear();
+        *self = EventCounters {
+            ext_op_counts,
+            ..EventCounters::default()
+        };
+    }
+
     /// Bumps the per-op extension counter, growing the table as needed.
     #[inline]
     pub fn count_ext_op(&mut self, op: u16) {

@@ -473,24 +473,10 @@ impl LocalMemory {
         Ok(beats)
     }
 
-    /// Reads up to four 32-bit lanes from a word-aligned address, charging
-    /// one port access per beat touched (mirror of [`Self::write_lanes`]).
+    /// Reads `out.len()` (up to four) 32-bit lanes from a word-aligned
+    /// address, charging one port access per beat touched (mirror of
+    /// [`Self::write_lanes`]); returns the beat count.
     pub fn read_lanes(
-        &mut self,
-        port: AccessPort,
-        addr: u32,
-        n: usize,
-    ) -> Result<(Vec<u32>, u32), MemError> {
-        assert!(n <= 4, "at most one 128-bit beat worth of lanes");
-        let mut lanes = [0u32; 4];
-        let beats = self.read_lanes_into(port, addr, &mut lanes[..n])?;
-        Ok((lanes[..n].to_vec(), beats))
-    }
-
-    /// Like [`Self::read_lanes`], but reads into a caller-provided buffer
-    /// (the lane count is `out.len()`) and returns only the beat count —
-    /// the allocation-free form the per-cycle datapath uses.
-    pub fn read_lanes_into(
         &mut self,
         port: AccessPort,
         addr: u32,
@@ -778,12 +764,14 @@ mod tests {
         let mut m = mem();
         m.load_words(0x6000_0020, &[5, 6, 7, 8]).unwrap();
         m.begin_cycle();
-        let (v, beats) = m.read_lanes(AccessPort::Core, 0x6000_0020, 4).unwrap();
-        assert_eq!(v, vec![5, 6, 7, 8]);
+        let mut v = [0u32; 4];
+        let beats = m.read_lanes(AccessPort::Core, 0x6000_0020, &mut v).unwrap();
+        assert_eq!(v, [5, 6, 7, 8]);
         assert_eq!(beats, 1);
         m.begin_cycle();
-        let (v, _) = m.read_lanes(AccessPort::Core, 0x6000_0028, 2).unwrap();
-        assert_eq!(v, vec![7, 8]);
+        let mut v = [0u32; 2];
+        m.read_lanes(AccessPort::Core, 0x6000_0028, &mut v).unwrap();
+        assert_eq!(v, [7, 8]);
     }
 
     #[test]
